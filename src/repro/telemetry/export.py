@@ -62,12 +62,16 @@ __all__ = [
 TELEMETRY_FORMAT = "repro-telemetry-v1"
 
 
+# One shared encoder: ``json.dumps`` with non-default options builds a
+# fresh JSONEncoder per call, i.e. per exported record.  The encoder is
+# stateless between ``encode`` calls, so sharing it yields the same bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def json_dump(obj: Any, path: Union[str, Path]) -> Path:
     """Write one JSON document with deterministic bytes."""
     path = Path(path)
-    path.write_text(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8")
+    path.write_text(_ENCODER.encode(obj) + "\n", encoding="utf-8")
     return path
 
 
@@ -75,10 +79,10 @@ def jsonl_dump(records: Iterable[Mapping[str, Any]],
                path: Union[str, Path]) -> Path:
     """Write records as JSON Lines with deterministic bytes."""
     path = Path(path)
+    encode = _ENCODER.encode
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")))
+            fh.write(encode(record))
             fh.write("\n")
     return path
 

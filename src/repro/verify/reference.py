@@ -1,8 +1,8 @@
 """Naive reference implementations for differential testing.
 
 Each reference here trades every efficiency concern for obviousness: the
-:class:`ReferenceLockTable` keeps flat lists and rescans them on every
-operation, and :func:`reference_classify_region` does exact rational
+:class:`ReferenceLockTable` keeps plain per-page lists and rescans them
+on every operation, and :func:`reference_classify_region` does exact rational
 arithmetic.  They exist to be *diffed against* the optimised
 implementations (:class:`repro.lockmgr.lock_table.LockTable`,
 :func:`repro.core.regions.classify_region`) — a divergence means one of
@@ -23,17 +23,19 @@ the prose, not from the optimised code:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, Hashable, List, Optional, Set
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.regions import DEFAULT_DELTA, Region
 from repro.errors import LockProtocolError
 from repro.lockmgr.lock_table import Grant, RequestOutcome
 from repro.lockmgr.modes import LockMode
 
-__all__ = ["ReferenceLockTable", "reference_classify_region"]
+__all__ = ["PageState", "ReferenceLockTable", "reference_classify_region"]
 
 Txn = Any
 Page = Hashable
+#: (holders txn -> mode, upgraders in order, ordinary queue of (txn, mode))
+PageState = Tuple[Dict[Txn, LockMode], List[Txn], List[Tuple[Txn, LockMode]]]
 
 
 def _label(txn: Txn):
@@ -42,11 +44,10 @@ def _label(txn: Txn):
 
 
 class _Hold:
-    __slots__ = ("txn", "page", "mode")
+    __slots__ = ("txn", "mode")
 
-    def __init__(self, txn: Txn, page: Page, mode: LockMode):
+    def __init__(self, txn: Txn, mode: LockMode):
         self.txn = txn
-        self.page = page
         self.mode = mode
 
 
@@ -64,9 +65,12 @@ class _Wait:
 class ReferenceLockTable:
     """List-scan lock table: slow, simple, and trusted.
 
-    Holds two flat lists — current holds and waiting requests in global
-    arrival order — and answers every question by scanning them.  The
-    public surface mirrors the subset of
+    Holds two maps of plain per-page lists — ``page -> [holds]`` and
+    ``page -> [waits in arrival order]`` — and answers every question by
+    rescanning the list of the page in question (or, for "what is this
+    transaction waiting for?", every wait list).  A page's key is
+    dropped when its list empties, so the keys are exactly the pages
+    with live state.  The public surface mirrors the subset of
     :class:`~repro.lockmgr.lock_table.LockTable` the DBMS uses:
     ``request`` / ``release`` / ``release_all`` / ``cancel_wait`` plus
     read-only views, and the same ``requests`` / ``blocks`` /
@@ -74,8 +78,8 @@ class ReferenceLockTable:
     """
 
     def __init__(self) -> None:
-        self._holds: List[_Hold] = []
-        self._waits: List[_Wait] = []
+        self._holds: Dict[Page, List[_Hold]] = {}
+        self._waits: Dict[Page, List[_Wait]] = {}
         self.requests = 0
         self.blocks = 0
         self.upgrades_requested = 0
@@ -85,22 +89,34 @@ class ReferenceLockTable:
     # ------------------------------------------------------------------
 
     def _holds_on(self, page: Page) -> List[_Hold]:
-        return [h for h in self._holds if h.page == page]
+        return self._holds.get(page, [])
 
     def _waits_on(self, page: Page) -> List[_Wait]:
-        return [w for w in self._waits if w.page == page]
+        return self._waits.get(page, [])
 
     def _hold_of(self, txn: Txn, page: Page) -> Optional[_Hold]:
-        for h in self._holds:
-            if h.txn is txn and h.page == page:
+        for h in self._holds_on(page):
+            if h.txn is txn:
                 return h
         return None
 
     def _wait_of(self, txn: Txn) -> Optional[_Wait]:
-        for w in self._waits:
-            if w.txn is txn:
-                return w
+        for waits in self._waits.values():
+            for w in waits:
+                if w.txn is txn:
+                    return w
         return None
+
+    @staticmethod
+    def _add(lists: Dict[Page, list], page: Page, entry) -> None:
+        lists.setdefault(page, []).append(entry)
+
+    @staticmethod
+    def _remove(lists: Dict[Page, list], page: Page, entry) -> None:
+        entries = lists[page]
+        entries.remove(entry)
+        if not entries:
+            del lists[page]
 
     @staticmethod
     def _modes_compatible(held: LockMode, requested: LockMode) -> bool:
@@ -118,10 +134,11 @@ class ReferenceLockTable:
         return {h.txn: h.mode for h in self._holds_on(page)}
 
     def held_pages(self, txn: Txn) -> Set[Page]:
-        return {h.page for h in self._holds if h.txn is txn}
+        return {page for page, holds in self._holds.items()
+                if any(h.txn is txn for h in holds)}
 
     def total_held(self) -> int:
-        return len(self._holds)
+        return sum(len(holds) for holds in self._holds.values())
 
     def holds(self, txn: Txn, page: Page,
               mode: Optional[LockMode] = None) -> bool:
@@ -171,38 +188,46 @@ class ReferenceLockTable:
         blockers.discard(txn)
         return blockers
 
-    def snapshot_page(self, page: Page) -> Optional[Dict[str, Any]]:
-        """Canonical entry for one page (same shape as
-        :meth:`LockTable.dump_page`), or ``None`` when nothing holds or
-        waits on it."""
+    def page_state(self, page: Page) -> Optional[PageState]:
+        """One page as plain objects — holders (txn → mode), upgraders
+        and ordinary queue (txn, mode), both in arrival order — or
+        ``None`` when nothing holds or waits on it.  The shadow table
+        compares this against the real lock entry per operation."""
         holds = self._holds_on(page)
         waits = self._waits_on(page)
         if not holds and not waits:
             return None
+        return (
+            {h.txn: h.mode for h in holds},
+            [w.txn for w in waits if w.is_upgrade],
+            [(w.txn, w.mode) for w in waits if not w.is_upgrade],
+        )
+
+    def snapshot_page(self, page: Page) -> Optional[Dict[str, Any]]:
+        """Canonical entry for one page (same shape as
+        :meth:`LockTable.dump_page`), or ``None`` when nothing holds or
+        waits on it."""
+        state = self.page_state(page)
+        if state is None:
+            return None
+        holders, upgraders, queue = state
         return {
-            "holders": {str(_label(h.txn)): h.mode.name for h in holds},
-            "upgraders": [_label(w.txn) for w in waits if w.is_upgrade],
-            "queue": [[_label(w.txn), w.mode.name]
-                      for w in waits if not w.is_upgrade],
+            "holders": {str(_label(t)): m.name for t, m in holders.items()},
+            "upgraders": [_label(t) for t in upgraders],
+            "queue": [[_label(t), m.name] for t, m in queue],
         }
 
     def snapshot(self) -> Dict[str, Any]:
         """Same canonical form as :meth:`LockTable.dump` — the two are
         directly comparable with ``==``."""
-        pages: Dict[str, Any] = {}
-        seen_pages = []
-        for h in self._holds:
-            if h.page not in seen_pages:
-                seen_pages.append(h.page)
-        for w in self._waits:
-            if w.page not in seen_pages:
-                seen_pages.append(w.page)
-        for page in seen_pages:
-            pages[str(page)] = self.snapshot_page(page)
+        pages = dict.fromkeys([*self._holds, *self._waits])
         return {
-            "pages": pages,
+            "pages": {str(page): self.snapshot_page(page)
+                      for page in pages},
             "waiting": sorted(
-                (str(_label(w.txn)) for w in self._waits), key=str),
+                (str(_label(w.txn))
+                 for waits in self._waits.values() for w in waits),
+                key=str),
             "requests": self.requests,
             "blocks": self.blocks,
             "upgrades_requested": self.upgrades_requested,
@@ -228,16 +253,17 @@ class ReferenceLockTable:
             if len(self._holds_on(page)) == 1:
                 held.mode = LockMode.X
                 return RequestOutcome.GRANTED
-            self._waits.append(_Wait(txn, page, LockMode.X,
-                                     is_upgrade=True))
+            self._add(self._waits, page,
+                      _Wait(txn, page, LockMode.X, is_upgrade=True))
             self.blocks += 1
             return RequestOutcome.BLOCKED
         if (not self._waits_on(page)
                 and all(self._modes_compatible(h.mode, mode)
                         for h in self._holds_on(page))):
-            self._holds.append(_Hold(txn, page, mode))
+            self._add(self._holds, page, _Hold(txn, mode))
             return RequestOutcome.GRANTED
-        self._waits.append(_Wait(txn, page, mode, is_upgrade=False))
+        self._add(self._waits, page,
+                  _Wait(txn, page, mode, is_upgrade=False))
         self.blocks += 1
         return RequestOutcome.BLOCKED
 
@@ -247,25 +273,23 @@ class ReferenceLockTable:
             raise LockProtocolError(
                 f"transaction {txn!r} released page {page!r} "
                 f"which it does not hold")
-        self._holds.remove(h)
+        self._remove(self._holds, page, h)
         return self._promote(page)
 
     def release_all(self, txn: Txn) -> List[Grant]:
         grants = list(self.cancel_wait(txn))
-        pages = []
-        for h in self._holds:
-            if h.txn is txn:
-                pages.append(h.page)
-        for page in pages:
-            self._holds.remove(self._hold_of(txn, page))
-            grants.extend(self._promote(page))
+        for page in list(self._holds):
+            h = self._hold_of(txn, page)
+            if h is not None:
+                self._remove(self._holds, page, h)
+                grants.extend(self._promote(page))
         return grants
 
     def cancel_wait(self, txn: Txn) -> List[Grant]:
         w = self._wait_of(txn)
         if w is None:
             return []
-        self._waits.remove(w)
+        self._remove(self._waits, w.page, w)
         return self._promote(w.page)
 
     def _promote(self, page: Page) -> List[Grant]:
@@ -282,7 +306,7 @@ class ReferenceLockTable:
                 up = upgraders[0]
                 if len(holds) == 1 and holds[0].txn is up.txn:
                     holds[0].mode = LockMode.X
-                    self._waits.remove(up)
+                    self._remove(self._waits, page, up)
                     grants.append(Grant(up.txn, page, LockMode.X,
                                         was_upgrade=True))
                     continue
@@ -291,8 +315,8 @@ class ReferenceLockTable:
             head = waiters[0]
             if all(self._modes_compatible(h.mode, head.mode)
                    for h in holds):
-                self._waits.remove(head)
-                self._holds.append(_Hold(head.txn, page, head.mode))
+                self._remove(self._waits, page, head)
+                self._add(self._holds, page, _Hold(head.txn, head.mode))
                 grants.append(Grant(head.txn, page, head.mode,
                                     was_upgrade=False))
                 continue

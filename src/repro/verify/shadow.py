@@ -9,27 +9,29 @@ After every operation it compares
 * the set of side-effect grants (order-canonicalised: grants produced by
   releasing several pages are per-page independent, so ordering between
   pages is an implementation detail), and
-* the canonical state of every page the operation touched
-  (:meth:`LockTable.dump_page` vs
-  :meth:`ReferenceLockTable.snapshot_page`) plus the running statistics,
-  with a full-table diff (:meth:`LockTable.dump` vs
+* the state of every page the operation touched, as plain objects
+  (the real lock entry vs :meth:`ReferenceLockTable.page_state`:
+  holders compared as a txn → mode mapping, upgraders and queue in
+  order, transactions by identity) plus the running statistics, with a
+  full-table diff of the canonical dumps (:meth:`LockTable.dump` vs
   :meth:`ReferenceLockTable.snapshot`) every
   :data:`FULL_COMPARE_STRIDE` operations.
 
 Any mismatch raises :class:`~repro.errors.ShadowDivergence` carrying
-both snapshots as evidence.  Because the class *is* a ``LockTable``, the
-DBMS system can use it as a drop-in replacement — the real table still
-drives the simulation, the reference only votes.
+both snapshots as evidence; the string-keyed dumps are built only then.
+Because the class *is* a ``LockTable``, the DBMS system can use it as a
+drop-in replacement — the real table still drives the simulation, the
+reference only votes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, List, Tuple
+from typing import Any, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import LockProtocolError, ShadowDivergence
-from repro.lockmgr.lock_table import Grant, LockTable, RequestOutcome
+from repro.lockmgr.lock_table import Grant, LockTable, RequestOutcome, _Lock
 from repro.lockmgr.modes import LockMode
-from repro.verify.reference import ReferenceLockTable
+from repro.verify.reference import PageState, ReferenceLockTable
 
 __all__ = ["ShadowLockTable", "canonical_grants"]
 
@@ -43,6 +45,28 @@ Page = Hashable
 # hide indefinitely.  Full-table dumps per operation made verified runs
 # quadratic in table size and ~100x slower end to end.
 FULL_COMPARE_STRIDE = 256
+
+
+def _same_page(lock: Optional[_Lock], ref: Optional[PageState]) -> bool:
+    """True when a real lock entry and a reference page state agree.
+
+    Transactions are compared by identity (both sides store the objects
+    the caller passed in), which is at least as strict as comparing the
+    ``txn_id`` labels of the canonical dumps.  Holders are a mapping, so
+    their insertion order does not matter; upgraders and the queue are
+    FIFO, so theirs does.
+    """
+    if lock is None or ref is None:
+        return lock is None and ref is None
+    holders, upgraders, queue = ref
+    return (
+        {id(t): m for t, m in lock.holders.items()}
+        == {id(t): m for t, m in holders.items()}
+        and len(lock.upgraders) == len(upgraders)
+        and all(a is b for a, b in zip(lock.upgraders, upgraders))
+        and len(lock.queue) == len(queue)
+        and all(a is b and m is n
+                for (a, m), (b, n) in zip(lock.queue, queue)))
 
 
 def _label(txn: Txn):
@@ -68,6 +92,11 @@ class ShadowLockTable(LockTable):
         super().__init__()
         self.reference = ReferenceLockTable()
         self.ops_checked = 0
+        # ops_checked value at which the next full-table diff is due.  A
+        # due-counter rather than ``ops_checked % stride == 0``: rejected
+        # operations are counted without a state compare, and a modulo
+        # test would skip a full diff that fell due on one of them.
+        self._full_compare_due = FULL_COMPARE_STRIDE
         # True while the *real* side of a mirrored operation runs.  The
         # real implementation calls its own public methods internally
         # (release_all -> cancel_wait), and those dispatch back to the
@@ -91,23 +120,26 @@ class ShadowLockTable(LockTable):
 
     def _compare_state(self, operation: str,
                        touched: Iterable[Page]) -> None:
+        ref = self.reference
         for page in touched:
-            if self.dump_page(page) != self.reference.snapshot_page(page):
+            if not _same_page(self._locks.get(page), ref.page_state(page)):
                 self._diverge(
                     operation,
                     f"state diverged on page {page!r}",
-                    page=str(page))
-        ref = self.reference
+                    page=str(page),
+                    real_page=self.dump_page(page),
+                    reference_page=ref.snapshot_page(page))
         if (self.requests != ref.requests or self.blocks != ref.blocks
                 or self.upgrades_requested != ref.upgrades_requested):
             self._diverge(operation, "lock statistics diverged")
         self.ops_checked += 1
-        if (self.ops_checked % FULL_COMPARE_STRIDE == 0
-                and self.dump() != self.reference.snapshot()):
-            self._diverge(
-                operation,
-                "lock-table state diverged from the reference "
-                "implementation (periodic full comparison)")
+        if self.ops_checked >= self._full_compare_due:
+            self._full_compare_due = self.ops_checked + FULL_COMPARE_STRIDE
+            if self.dump() != ref.snapshot():
+                self._diverge(
+                    operation,
+                    "lock-table state diverged from the reference "
+                    "implementation (periodic full comparison)")
 
     def _compare_grants(self, operation: str, real: List[Grant],
                         ref: List[Grant]) -> None:

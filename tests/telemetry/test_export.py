@@ -14,6 +14,7 @@ from repro.experiments.runner import run_simulation
 from repro.metrics.trace import Tracer
 from repro.telemetry import (TelemetryConfig, TelemetrySession,
                              validate_run_dir, write_cache_hit_manifest)
+from repro.telemetry.export import json_dump, jsonl_dump
 
 RUN_FILES = ["manifest.json", "probes.jsonl", "decisions.jsonl",
              "trace.jsonl", "profile.json"]
@@ -47,6 +48,26 @@ def test_manifest_provenance(tiny_params, tmp_path):
     assert manifest["records"]["probes"] > 0
     assert manifest["records"]["decisions"] > 0
     assert len(manifest["code_fingerprint"]) == 16
+
+
+def test_dump_bytes_match_per_call_json_dumps(tmp_path):
+    # The writers share one encoder; their bytes must equal a fresh
+    # ``json.dumps`` with the same options, record by record.
+    records = [
+        {"b": 1, "a": [1.5, None, True], "z": {"y": "\u00e9", "x": -0.0}},
+        {"nan": float("nan"), "inf": float("inf"), "big": 10 ** 20},
+        {},
+    ]
+
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    jsonl_dump(records, tmp_path / "r.jsonl")
+    assert (tmp_path / "r.jsonl").read_text(encoding="utf-8") == "".join(
+        dumps(r) + "\n" for r in records)
+    json_dump(records, tmp_path / "r.json")
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == \
+        dumps(records) + "\n"
 
 
 def test_deterministic_bytes_across_runs(tiny_params, tmp_path):

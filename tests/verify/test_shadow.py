@@ -115,7 +115,7 @@ def test_desynced_page_state_diverges_on_next_op():
     table.request(t0, "p", S)
     # Desync the reference's view of page p: the next operation touching
     # p must notice the two tables disagree.
-    table.reference._holds[0].mode = X
+    table.reference._holds["p"][0].mode = X
     with pytest.raises(ShadowDivergence) as exc_info:
         table.request(t0, "p", S)       # covered re-request, still checked
     assert exc_info.value.evidence["page"] == "p"
@@ -132,6 +132,83 @@ def test_untouched_page_desync_caught_by_periodic_full_compare():
     with pytest.raises(ShadowDivergence, match="full comparison"):
         for i in range(FULL_COMPARE_STRIDE + 1):
             table.request(t0, "q%d" % i, S)
+
+
+def test_full_compare_due_after_a_rejected_operation():
+    # The full diff falls due on the FULL_COMPARE_STRIDE-th compared
+    # operation.  When that operation is one both sides reject (counted,
+    # but with no state compare), the diff must run on the next one
+    # instead of slipping a whole stride.
+    from repro.verify.shadow import FULL_COMPARE_STRIDE
+    table = ShadowLockTable()
+    t0, t1 = _Txn(0), _Txn(1)
+    table.request(t0, "p", X)
+    table.request(t1, "p", S)                   # t1 now waits
+    for i in range(FULL_COMPARE_STRIDE - 3):
+        table.request(t0, "q%d" % i, S)
+    assert table.ops_checked == FULL_COMPARE_STRIDE - 1
+    with pytest.raises(LockProtocolError):
+        table.request(t1, "r", S)               # rejected on both sides
+    assert table.ops_checked == FULL_COMPARE_STRIDE
+    # Corrupt a page the next operation does not touch.
+    table.reference._holds["q0"][0].mode = X
+    with pytest.raises(ShadowDivergence, match="full comparison"):
+        table.request(t0, "z", S)
+
+
+def _two_waiter_table():
+    """t0 and t1 hold S on p and both wait to upgrade to X; t2 and t3
+    queue behind them for S, in that order."""
+    table = ShadowLockTable()
+    t0, t1, t2, t3 = (_Txn(i) for i in range(4))
+    table.request(t0, "p", S)
+    table.request(t1, "p", S)
+    table.request(t0, "p", X)
+    table.request(t1, "p", X)
+    table.request(t2, "p", S)
+    table.request(t3, "p", S)
+    return table, (t0, t1, t2, t3)
+
+
+def test_swapped_queue_waiters_diverge():
+    table, _txns = _two_waiter_table()
+    waits = table.reference._waits["p"]
+    waits[2], waits[3] = waits[3], waits[2]
+    with pytest.raises(ShadowDivergence) as exc_info:
+        table.request(_Txn(4), "p", S)  # queues on p on both sides
+    assert exc_info.value.evidence["page"] == "p"
+
+
+def test_dropped_upgrader_diverges():
+    table, (_t0, t1, _t2, _t3) = _two_waiter_table()
+    waits = table.reference._waits["p"]
+    waits.remove(next(w for w in waits if w.txn is t1))
+    with pytest.raises(ShadowDivergence) as exc_info:
+        table.request(_Txn(4), "p", S)
+    assert exc_info.value.evidence["page"] == "p"
+
+
+def test_holder_replaced_by_same_id_impostor_diverges():
+    # The canonical dumps label transactions by txn_id, so they cannot
+    # tell these two objects apart; the per-operation compare can.
+    table = ShadowLockTable()
+    t0, t1 = _Txn(0), _Txn(1)
+    table.request(t0, "p", S)
+    table.request(t1, "p", S)
+    table.reference._holds["p"][0].txn = _Txn(0)
+    with pytest.raises(ShadowDivergence) as exc_info:
+        table.request(t1, "p", S)
+    assert exc_info.value.evidence["page"] == "p"
+
+
+def test_holder_insertion_order_does_not_matter():
+    table = ShadowLockTable()
+    t0, t1, t2 = _Txn(0), _Txn(1), _Txn(2)
+    for txn in (t0, t1, t2):
+        table.request(txn, "p", S)
+    table.reference._holds["p"].reverse()
+    table.request(t1, "p", S)           # compared, and must still agree
+    assert table.dump() == table.reference.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +244,7 @@ def _soak(seed: int, ops: int) -> ShadowLockTable:
             table.release(txn, rng.choice(held))
         else:
             table.release_all(txn)
+        assert table.reference.snapshot() == table.dump()
     return table
 
 
