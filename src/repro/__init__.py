@@ -24,74 +24,7 @@ Quickstart::
     print(results.summary_line())
 """
 
-from repro.control import (
-    AnalyticMPCController,
-    BlockedFractionController,
-    BufferAwareAdmission,
-    ClassPriorityPolicy,
-    CompositeController,
-    ConflictRatioController,
-    FixedMPLController,
-    HalfAndHalfController,
-    LoadController,
-    MalthusianController,
-    NoControlController,
-    TayRuleController,
-    predict_throughput,
-)
-from repro.core import MaturityRule, Region, classify_region
-from repro.dbms import DBMSSystem, SimulationParameters, Transaction
-from repro.errors import (
-    ConfigurationError,
-    ExperimentError,
-    InvariantViolation,
-    LockManagerError,
-    ReproError,
-    ShadowDivergence,
-    SimulationError,
-    VerificationError,
-    WorkloadError,
-)
-from repro.experiments.runner import run_simulation
-from repro.lockmgr import (
-    BoundedWaitPolicy,
-    DeadlockStrategy,
-    LockMode,
-    LockProtocol,
-    LockTable,
-    NoWaitPolicy,
-    UnboundedWaitPolicy,
-)
-from repro.metrics import (
-    BatchStatistics,
-    SimulationResults,
-    TraceEvent,
-    TraceEventType,
-    Tracer,
-)
-from repro.telemetry import (
-    ControllerDecision,
-    DecisionLog,
-    ProbeSample,
-    ProbeScheduler,
-    TelemetryConfig,
-    TelemetrySession,
-)
-from repro.verify import (
-    InvariantChecker,
-    ReferenceLockTable,
-    ShadowLockTable,
-    VerifyConfig,
-    reference_classify_region,
-)
-from repro.workload import (
-    HomogeneousWorkload,
-    HotspotWorkload,
-    MixedWorkload,
-    TimeVaryingWorkload,
-    TransactionClass,
-    paper_mixed_classes,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -155,3 +88,51 @@ __all__ = [
     "paper_mixed_classes",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.control.analytic": ("AnalyticMPCController",
+                               "predict_throughput"),
+    "repro.control.base": ("LoadController",),
+    "repro.control.blocked_fraction": ("BlockedFractionController",),
+    "repro.control.class_priority": ("ClassPriorityPolicy",),
+    "repro.control.composite": ("BufferAwareAdmission",
+                                "CompositeController"),
+    "repro.control.conflict_ratio": ("ConflictRatioController",),
+    "repro.control.fixed_mpl": ("FixedMPLController",),
+    "repro.control.malthusian": ("MalthusianController",),
+    "repro.control.no_control": ("NoControlController",),
+    "repro.control.tay": ("TayRuleController",),
+    "repro.core.half_and_half": ("HalfAndHalfController",),
+    "repro.core.maturity": ("MaturityRule",),
+    "repro.core.regions": ("Region", "classify_region"),
+    "repro.dbms.config": ("SimulationParameters",),
+    "repro.dbms.system": ("DBMSSystem",),
+    "repro.dbms.transaction": ("Transaction",),
+    "repro.errors": ("ConfigurationError", "ExperimentError",
+                     "InvariantViolation", "LockManagerError",
+                     "ReproError", "ShadowDivergence", "SimulationError",
+                     "VerificationError", "WorkloadError"),
+    "repro.experiments.runner": ("run_simulation",),
+    "repro.lockmgr.lock_table": ("LockTable",),
+    "repro.lockmgr.modes": ("LockMode",),
+    "repro.lockmgr.prevention": ("DeadlockStrategy",),
+    "repro.lockmgr.protocols": ("LockProtocol",),
+    "repro.lockmgr.wait_policy": ("BoundedWaitPolicy", "NoWaitPolicy",
+                                  "UnboundedWaitPolicy"),
+    "repro.metrics.batch_means": ("BatchStatistics",),
+    "repro.metrics.results": ("SimulationResults",),
+    "repro.metrics.trace": ("TraceEvent", "TraceEventType", "Tracer"),
+    "repro.telemetry.decisions": ("ControllerDecision", "DecisionLog"),
+    "repro.telemetry.export": ("TelemetryConfig", "TelemetrySession"),
+    "repro.telemetry.probes": ("ProbeSample", "ProbeScheduler"),
+    "repro.verify.config": ("VerifyConfig",),
+    "repro.verify.invariants": ("InvariantChecker",),
+    "repro.verify.reference": ("ReferenceLockTable",
+                               "reference_classify_region"),
+    "repro.verify.shadow": ("ShadowLockTable",),
+    "repro.workload.homogeneous": ("HomogeneousWorkload",),
+    "repro.workload.hotspot": ("HotspotWorkload",),
+    "repro.workload.mixed": ("MixedWorkload", "TransactionClass",
+                             "paper_mixed_classes"),
+    "repro.workload.time_varying": ("TimeVaryingWorkload",),
+})

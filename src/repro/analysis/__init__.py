@@ -1,18 +1,7 @@
 """Analytic companions to the simulation: resource bounds and the
 contention approximations behind Tay's rule of thumb."""
 
-from repro.analysis.bounds import (
-    cpu_bound_page_rate,
-    disk_bound_page_rate,
-    resource_ceiling,
-)
-from repro.analysis.contention import (
-    blocking_probability,
-    conflict_ratio,
-    deadlock_probability,
-    max_safe_mpl,
-    predicts_thrashing,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "cpu_bound_page_rate",
@@ -24,3 +13,11 @@ __all__ = [
     "max_safe_mpl",
     "predicts_thrashing",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.bounds": ("cpu_bound_page_rate", "disk_bound_page_rate",
+                              "resource_ceiling"),
+    "repro.analysis.contention": ("blocking_probability", "conflict_ratio",
+                                  "deadlock_probability", "max_safe_mpl",
+                                  "predicts_thrashing"),
+})

@@ -18,14 +18,7 @@ clock varies between machines, which is why comparisons check both
 (simulated drift is a different failure than a slowdown).
 """
 
-from repro.bench.compare import (EntryComparison, compare_benches,
-                                 format_comparison, provenance_warnings)
-from repro.bench.harness import (BENCH_FORMAT, bench_path, load_bench,
-                                 run_bench, run_entry, write_bench)
-from repro.bench.history import (DEFAULT_HISTORY, append_history,
-                                 compare_against_history, format_history,
-                                 history_baseline, load_history)
-from repro.bench.suite import SCALES, BenchEntry, entry_names, suite_for
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BENCH_FORMAT",
@@ -49,3 +42,14 @@ __all__ = [
     "suite_for",
     "write_bench",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.compare": ("EntryComparison", "compare_benches",
+                            "format_comparison", "provenance_warnings"),
+    "repro.bench.harness": ("BENCH_FORMAT", "bench_path", "load_bench",
+                            "run_bench", "run_entry", "write_bench"),
+    "repro.bench.history": ("DEFAULT_HISTORY", "append_history",
+                            "compare_against_history", "format_history",
+                            "history_baseline", "load_history"),
+    "repro.bench.suite": ("SCALES", "BenchEntry", "entry_names", "suite_for"),
+})

@@ -32,8 +32,8 @@ from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.bench.suite import BenchEntry, suite_for
 from repro.errors import ExperimentError
-from repro.experiments.parallel import code_fingerprint
 from repro.experiments.runner import run_simulation
+from repro.fingerprint import code_fingerprint
 from repro.sim.engine import Simulator
 
 __all__ = ["BENCH_FORMAT", "bench_path", "run_entry", "run_bench",

@@ -5,19 +5,7 @@ paper's contribution); it is re-exported here for convenience so callers
 can import every controller from one place.
 """
 
-from repro.control.analytic import (AnalyticMPCController,
-                                    conflict_coefficient, optimal_mpl,
-                                    predict_throughput)
-from repro.control.base import LoadController
-from repro.control.blocked_fraction import BlockedFractionController
-from repro.control.class_priority import ClassPriorityPolicy
-from repro.control.composite import BufferAwareAdmission, CompositeController
-from repro.control.conflict_ratio import ConflictRatioController
-from repro.control.fixed_mpl import FixedMPLController
-from repro.control.malthusian import MalthusianController
-from repro.control.no_control import NoControlController
-from repro.control.tay import TayRuleController, effective_db_size, tay_mpl
-from repro.core.half_and_half import HalfAndHalfController
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LoadController",
@@ -38,3 +26,18 @@ __all__ = [
     "tay_mpl",
     "HalfAndHalfController",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.control.analytic": ("AnalyticMPCController", "conflict_coefficient",
+                               "optimal_mpl", "predict_throughput"),
+    "repro.control.base": ("LoadController",),
+    "repro.control.blocked_fraction": ("BlockedFractionController",),
+    "repro.control.class_priority": ("ClassPriorityPolicy",),
+    "repro.control.composite": ("BufferAwareAdmission", "CompositeController"),
+    "repro.control.conflict_ratio": ("ConflictRatioController",),
+    "repro.control.fixed_mpl": ("FixedMPLController",),
+    "repro.control.malthusian": ("MalthusianController",),
+    "repro.control.no_control": ("NoControlController",),
+    "repro.control.tay": ("TayRuleController", "effective_db_size", "tay_mpl"),
+    "repro.core.half_and_half": ("HalfAndHalfController",),
+})

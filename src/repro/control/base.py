@@ -72,11 +72,10 @@ class LoadController:
         log = self.decision_log
         if log is None:
             return
-        from repro.telemetry.decisions import ControllerDecision
         # A log may be installed before attach() binds the system (e.g.
         # a controller configured by hand); counts are simply zero then.
         tracker = self.system.tracker if self.system is not None else None
-        log.record(ControllerDecision(
+        log.add(
             time=(self.system.sim.now if self.system is not None else 0.0),
             controller=self.name,
             action=action,
@@ -89,7 +88,7 @@ class LoadController:
             measure=measure,
             threshold=threshold,
             detail=detail,
-        ))
+        )
 
     @property
     def base_name(self) -> str:

@@ -1,9 +1,6 @@
 """The paper's primary contribution: Half-and-Half load control."""
 
-from repro.core.half_and_half import HalfAndHalfController
-from repro.core.maturity import MaturityRule
-from repro.core.regions import DEFAULT_DELTA, Region, classify_region
-from repro.core.state_tracker import StateTracker
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HalfAndHalfController",
@@ -13,3 +10,10 @@ __all__ = [
     "classify_region",
     "StateTracker",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.half_and_half": ("HalfAndHalfController",),
+    "repro.core.maturity": ("MaturityRule",),
+    "repro.core.regions": ("DEFAULT_DELTA", "Region", "classify_region"),
+    "repro.core.state_tracker": ("StateTracker",),
+})

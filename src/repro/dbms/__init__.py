@@ -1,10 +1,6 @@
 """The logical DBMS model: configuration, transactions, queues, system."""
 
-from repro.dbms.buffer import LRUBuffer, NullBuffer
-from repro.dbms.config import SimulationParameters
-from repro.dbms.ready_queue import ReadyQueue
-from repro.dbms.system import DBMSSystem
-from repro.dbms.transaction import Transaction, TxnPhase
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LRUBuffer",
@@ -15,3 +11,11 @@ __all__ = [
     "Transaction",
     "TxnPhase",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dbms.buffer": ("LRUBuffer", "NullBuffer"),
+    "repro.dbms.config": ("SimulationParameters",),
+    "repro.dbms.ready_queue": ("ReadyQueue",),
+    "repro.dbms.system": ("DBMSSystem",),
+    "repro.dbms.transaction": ("Transaction", "TxnPhase"),
+})

@@ -23,23 +23,7 @@ fault plan and with ``failure_model=False`` is byte-identical to the
 constant-delay model.
 """
 
-from repro.distributed.config import DistributedParameters
-from repro.distributed.partition import RangePartition
-from repro.distributed.workload import DistributedWorkload
-from repro.distributed.controllers import (
-    PerSiteControllerSet,
-    make_fixed_mpl_sites,
-    make_half_and_half_sites,
-    make_no_control_sites,
-)
-from repro.distributed.failures import (
-    NetworkPartition,
-    SiteCrash,
-    SiteFaultPlan,
-)
-from repro.distributed.network import Network, ReliableCall
-from repro.distributed.system import DistributedSystem
-from repro.distributed.runner import run_distributed_simulation
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DistributedParameters",
@@ -57,3 +41,18 @@ __all__ = [
     "DistributedSystem",
     "run_distributed_simulation",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.distributed.config": ("DistributedParameters",),
+    "repro.distributed.controllers": ("PerSiteControllerSet",
+                                      "make_fixed_mpl_sites",
+                                      "make_half_and_half_sites",
+                                      "make_no_control_sites"),
+    "repro.distributed.failures": ("NetworkPartition", "SiteCrash",
+                                   "SiteFaultPlan"),
+    "repro.distributed.network": ("Network", "ReliableCall"),
+    "repro.distributed.partition": ("RangePartition",),
+    "repro.distributed.runner": ("run_distributed_simulation",),
+    "repro.distributed.system": ("DistributedSystem",),
+    "repro.distributed.workload": ("DistributedWorkload",),
+})

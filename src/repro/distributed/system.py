@@ -78,7 +78,8 @@ from repro.distributed.failures import SiteFaultPlan
 from repro.distributed.network import Network, ReliableCall
 from repro.distributed.partition import RangePartition
 from repro.distributed.workload import DistributedWorkload
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import (ConfigurationError, InvariantViolation,
+                          SimulationError)
 from repro.lockmgr.deadlock import resolve_deadlocks
 from repro.lockmgr.lock_table import LockTable, RequestOutcome
 from repro.lockmgr.modes import LockMode
@@ -1183,16 +1184,14 @@ class DistributedSystem:
         log = self.decision_log
         if log is None:
             return
-        from repro.telemetry.decisions import ControllerDecision
         if site is None:
             label, n_active = "network", self.tracker.n_active
         else:
             label = f"site{site}"
             n_active = self.site_views[site].tracker.n_active
-        log.record(ControllerDecision(
-            time=self.sim.now, controller=label, action=action,
-            n_active=n_active, txn_id=txn_id, measure=measure,
-            detail=detail))
+        log.add(time=self.sim.now, controller=label, action=action,
+                n_active=n_active, txn_id=txn_id, measure=measure,
+                detail=detail)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1225,41 +1224,84 @@ class DistributedSystem:
         return stats
 
     def check_invariants(self) -> None:
+        """Raise :class:`~repro.errors.InvariantViolation` if the
+        cluster's state is inconsistent.
+
+        Beyond each site's lock table and every tracker, checked
+        invariants (by name):
+
+        * ``site_population_partition`` — the site trackers partition
+          the global active set;
+        * ``blocked_flag_sync`` — a transaction is in the waiting map
+          exactly when its blocked flag is set;
+
+        and in failure mode:
+
+        * ``lock_owner_live`` — every lock belongs to an active or an
+          in-doubt (prepared) transaction;
+        * ``down_site_prepared_only`` — a down site holds only in-doubt
+          locks;
+        * ``limbo_indoubt_backed`` — every limbo transaction names at
+          least one site, each holding an in-doubt entry for it.
+
+        Real exceptions, not ``assert``: the checks hold under
+        ``python -O`` too.
+        """
+        def violate(invariant: str, message: str, **evidence) -> None:
+            raise InvariantViolation(message, invariant=invariant,
+                                     sim_time=self.sim.now,
+                                     evidence=evidence)
+
         for site in self.sites:
             site.lock_table.check_invariants()
         self.tracker.check_invariants()
         for view in self.site_views:
             view.tracker.check_invariants()
-        # Site trackers partition the global active set.
         total = sum(v.tracker.n_active for v in self.site_views)
-        assert total == self.tracker.n_active
+        if total != self.tracker.n_active:
+            violate("site_population_partition",
+                    f"site trackers hold {total} active transactions, "
+                    f"the global tracker {self.tracker.n_active}",
+                    site_active=total, n_active=self.tracker.n_active)
         for txn in self.tracker.active_transactions():
             waiting = txn in self.waiting_site
-            assert waiting == txn.is_blocked, (
-                f"{txn!r}: blocked flag {txn.is_blocked}, "
-                f"waiting map {waiting}")
+            if waiting != txn.is_blocked:
+                violate("blocked_flag_sync",
+                        f"{txn!r}: blocked flag {txn.is_blocked}, "
+                        f"waiting map {waiting}",
+                        txn_id=txn.txn_id, is_blocked=txn.is_blocked,
+                        waiting=waiting)
         if not self.failure_mode:
             return
         for site in self.sites:
             indoubt = self._indoubt[site.site_id]
             for page in site.lock_table.locked_pages():
                 for holder in site.lock_table.holders(page):
-                    # Every lock belongs to a live transaction or to a
-                    # prepared (in-doubt) one — no leaks.
-                    assert (self.tracker.is_active(holder)
-                            or holder.txn_id in indoubt), (
-                        f"site {site.site_id} page {page}: lock held "
-                        f"by {holder!r}, neither active nor in-doubt")
+                    if not (self.tracker.is_active(holder)
+                            or holder.txn_id in indoubt):
+                        violate("lock_owner_live",
+                                f"site {site.site_id} page {page}: lock "
+                                f"held by {holder!r}, neither active "
+                                f"nor in-doubt",
+                                site=site.site_id, page=page,
+                                txn_id=holder.txn_id)
             if not self._site_up[site.site_id]:
-                # A down site's table holds only prepared state.
                 for page in site.lock_table.locked_pages():
                     for holder in site.lock_table.holders(page):
-                        assert holder.txn_id in indoubt, (
-                            f"down site {site.site_id} holds a "
-                            f"non-in-doubt lock for {holder!r}")
+                        if holder.txn_id not in indoubt:
+                            violate("down_site_prepared_only",
+                                    f"down site {site.site_id} holds a "
+                                    f"non-in-doubt lock for {holder!r}",
+                                    site=site.site_id, page=page,
+                                    txn_id=holder.txn_id)
         for txn, sites_left in self._limbo.items():
-            assert sites_left, f"{txn!r} in limbo with no sites left"
+            if not sites_left:
+                violate("limbo_indoubt_backed",
+                        f"{txn!r} in limbo with no sites left",
+                        txn_id=txn.txn_id)
             for p in sites_left:
-                assert txn.txn_id in self._indoubt[p], (
-                    f"{txn!r} limbo references site {p} without an "
-                    f"in-doubt entry")
+                if txn.txn_id not in self._indoubt[p]:
+                    violate("limbo_indoubt_backed",
+                            f"{txn!r} limbo references site {p} without "
+                            f"an in-doubt entry",
+                            txn_id=txn.txn_id, site=p)

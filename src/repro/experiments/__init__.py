@@ -1,12 +1,12 @@
 """Experiment harness: runner, parallel executor, sweeps, figures."""
 
-from repro.experiments.parallel import (
-    ResultCache,
-    RunSpec,
-    execution_context,
-    run_specs,
-)
-from repro.experiments.runner import run_simulation
+from repro._lazy import lazy_exports
 
 __all__ = ["run_simulation", "RunSpec", "ResultCache",
            "execution_context", "run_specs"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.parallel": ("ResultCache", "RunSpec",
+                                   "execution_context", "run_specs"),
+    "repro.experiments.runner": ("run_simulation",),
+})

@@ -18,6 +18,11 @@ figure (or running another figure that shares runs) is near-instant.
 With ``run all``, ``--csv``/``--json`` name a *directory* and one file
 per figure (``<figure_id>.csv`` / ``.json``) is written into it; with a
 single figure they name the output file, as before.
+
+Arguments are parsed before anything else is imported, and each
+subcommand imports only the layers it uses: ``--help`` and argument
+errors load no figure, ``run fig20`` loads one figure module, and
+telemetry, verification and fault injection load only when asked for.
 """
 
 from __future__ import annotations
@@ -31,9 +36,6 @@ from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.experiments.figures import all_figures, get_figure
-from repro.experiments.parallel import execution_context
-from repro.experiments.reporting import format_figure, format_figure_list
-from repro.experiments.scales import get_scale
 
 __all__ = ["main", "build_parser"]
 
@@ -272,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_one(figure_id: str, scale_name: str,
              csv_path=None, json_path=None) -> None:
+    from repro.experiments.reporting import format_figure
+    from repro.experiments.scales import get_scale
     spec = get_figure(figure_id)
     scale = get_scale(scale_name)
     print(f"running {spec.figure_id} at scale '{scale.name}' ...",
@@ -463,11 +467,20 @@ def _verify_command(args) -> int:
     return 0
 
 
-def _check_resume(args) -> None:
+def _execution_context(args):
+    """The execution context the ``run``/``report`` flags describe."""
     if args.resume and args.cache_dir is None:
         raise ReproError(
             "--resume needs --cache-dir: the sweep journal lives next "
             "to the result cache")
+    from repro.experiments.parallel import execution_context
+    return execution_context(jobs=args.jobs, cache=args.cache_dir,
+                             progress=True,
+                             telemetry=_telemetry_config(args),
+                             resilience=_resilience_policy(args),
+                             faults=_fault_plan(args),
+                             resume=args.resume,
+                             verify=_verify_config(args))
 
 
 def _telemetry_run_dirs(root: Path) -> List[Path]:
@@ -538,27 +551,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "list":
+            from repro.experiments.reporting import format_figure_list
             print(format_figure_list(all_figures()))
         elif args.command == "run":
-            _check_resume(args)
-            with execution_context(jobs=args.jobs, cache=args.cache_dir,
-                                   progress=True,
-                                   telemetry=_telemetry_config(args),
-                                   resilience=_resilience_policy(args),
-                                   faults=_fault_plan(args),
-                                   resume=args.resume,
-                                   verify=_verify_config(args)):
+            with _execution_context(args):
                 _run_command(args)
         elif args.command == "report":
             from repro.experiments.report import generate_report
-            _check_resume(args)
-            with execution_context(jobs=args.jobs, cache=args.cache_dir,
-                                   progress=True,
-                                   telemetry=_telemetry_config(args),
-                                   resilience=_resilience_policy(args),
-                                   faults=_fault_plan(args),
-                                   resume=args.resume,
-                                   verify=_verify_config(args)):
+            from repro.experiments.scales import get_scale
+            with _execution_context(args):
                 path = generate_report(get_scale(args.scale), args.out)
             print(f"wrote {path}", file=sys.stderr)
         elif args.command == "simulate":

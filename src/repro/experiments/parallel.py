@@ -62,18 +62,21 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
+                    List, Optional, Sequence, Tuple, Union)
 
 from repro.dbms.config import SimulationParameters
 from repro.errors import ExperimentError, SpecExecutionError
 from repro.experiments.runner import WorkloadFactory, run_simulation
-from repro.faultinject.harness import (HarnessFault, HarnessFaultKind,
-                                       HarnessFaultPlan, apply_worker_fault)
+from repro.fingerprint import code_fingerprint
 from repro.metrics.results import SimulationResults
-from repro.resilience import (AttemptRecord, FailedRun, FailureKind,
-                              ResiliencePolicy, SweepCheckpoint)
-from repro.telemetry.export import TelemetryConfig, write_cache_hit_manifest
+from repro.resilience.checkpoint import SweepCheckpoint
+from repro.resilience.failures import AttemptRecord, FailedRun, FailureKind
+from repro.resilience.policy import ResiliencePolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faultinject.harness import HarnessFault, HarnessFaultPlan
+    from repro.telemetry.export import TelemetryConfig
 
 __all__ = [
     "RunSpec",
@@ -237,23 +240,6 @@ def stable_token(obj: Any) -> str:
         f"({type(obj).__qualname__})")
 
 
-@functools.lru_cache(maxsize=1)
-def code_fingerprint() -> str:
-    """Hash of every source file in the ``repro`` package.
-
-    Folded into each cache key so that stale results can never survive a
-    code change — any edit anywhere in the package invalidates the cache.
-    """
-    import repro
-    root = Path(repro.__file__).resolve().parent
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def spec_key(spec: RunSpec) -> str:
     """Content-addressed cache key for one run spec."""
     parts = [
@@ -395,6 +381,30 @@ class ExecutionContext:
             raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
 
 
+def _telemetry_config(telemetry: Union[TelemetryConfig, str, Path, None]
+                      ) -> Optional[TelemetryConfig]:
+    """A telemetry config from a config or a root directory path.  The
+    telemetry layer is imported only when telemetry is asked for."""
+    if telemetry is None:
+        return None
+    from repro.telemetry import export
+    if isinstance(telemetry, export.TelemetryConfig):
+        return telemetry
+    return export.TelemetryConfig(root=str(telemetry))
+
+
+def _fault_plan(faults: Union[HarnessFaultPlan, Sequence[str], None]
+                ) -> Optional[HarnessFaultPlan]:
+    """A harness fault plan from a plan or ``kind@index`` strings.  The
+    fault-injection layer is imported only when faults are asked for."""
+    if faults is None:
+        return None
+    from repro.faultinject import harness
+    if isinstance(faults, harness.HarnessFaultPlan):
+        return faults
+    return harness.HarnessFaultPlan.parse(faults)
+
+
 _DEFAULT_CONTEXT = ExecutionContext()
 _CONTEXT_STACK: List[ExecutionContext] = []
 
@@ -433,10 +443,8 @@ def execution_context(jobs: int = 1,
     """
     if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    if telemetry is not None and not isinstance(telemetry, TelemetryConfig):
-        telemetry = TelemetryConfig(root=str(telemetry))
-    if faults is not None and not isinstance(faults, HarnessFaultPlan):
-        faults = HarnessFaultPlan.parse(faults)
+    telemetry = _telemetry_config(telemetry)
+    faults = _fault_plan(faults)
     if verify is not None and isinstance(verify, str):
         from repro.verify.config import VerifyConfig
         verify = VerifyConfig.parse(verify)
@@ -506,6 +514,8 @@ def _execute_spec(spec: RunSpec,
     """
     start = time.perf_counter()
     if fault is not None:
+        # The fault was unpickled here, so its module is already loaded.
+        from repro.faultinject.harness import apply_worker_fault
         apply_worker_fault(fault, in_process)
     session = None
     if telemetry is not None and run_id is not None:
@@ -635,6 +645,7 @@ class _BatchExecutor:
         """The harness fault for this attempt; raises for ``sigint``."""
         if self.faults is None:
             return None
+        from repro.faultinject.harness import HarnessFaultKind
         fault = self.faults.fault_for(pend.index, pend.attempt)
         if fault is not None and fault.kind == HarnessFaultKind.SIGINT:
             raise KeyboardInterrupt(
@@ -741,6 +752,13 @@ class _BatchExecutor:
     # -- pooled path ---------------------------------------------------
 
     def run_pooled(self) -> None:
+        if self.verify is not None or any(
+                self.specs[i].verify is not None for i in self.to_run):
+            # The workers' runs attach the invariant checker and shadow
+            # lock table (see run_simulation).  Import them before the
+            # pool forks, so every worker inherits them instead of
+            # importing them again for each batch.
+            from repro.verify import invariants, shadow  # noqa: F401
         workers = min(self.jobs, len(self.to_run))
         pending: Deque[_Pending] = deque(
             _Pending(i, self.keys[i]) for i in self.to_run)
@@ -955,18 +973,13 @@ def run_specs(specs: Sequence[RunSpec],
         cache = ResultCache(cache)
     if progress is None:
         progress = ctx.progress
-    if telemetry is None:
-        telemetry = ctx.telemetry
-    elif not isinstance(telemetry, TelemetryConfig):
-        telemetry = TelemetryConfig(root=str(telemetry))
+    telemetry = (ctx.telemetry if telemetry is None
+                 else _telemetry_config(telemetry))
     if resilience is None:
         resilience = ctx.resilience
     if resilience is None:
         resilience = ResiliencePolicy()
-    if faults is None:
-        faults = ctx.faults
-    elif not isinstance(faults, HarnessFaultPlan):
-        faults = HarnessFaultPlan.parse(faults)
+    faults = ctx.faults if faults is None else _fault_plan(faults)
     if verify is None:
         verify = ctx.verify
 
@@ -1005,6 +1018,8 @@ def run_specs(specs: Sequence[RunSpec],
                 if checkpoint is not None:
                     checkpoint.mark(key)
                 if telemetry is not None:
+                    from repro.telemetry.export import (
+                        write_cache_hit_manifest)
                     write_cache_hit_manifest(
                         Path(telemetry.root) / key,
                         seed=specs[i].params.seed,

@@ -24,22 +24,7 @@ windows.  Both are plain picklable data carried by the
 and fan out like any other.
 """
 
-from repro.faultinject.harness import (
-    HarnessFault,
-    HarnessFaultKind,
-    HarnessFaultPlan,
-    apply_worker_fault,
-)
-from repro.faultinject.system import (
-    FaultSchedule,
-    FaultWindow,
-    SystemFaultKind,
-)
-from repro.faultinject.workload import (
-    FaultyWorkload,
-    FaultyWorkloadFactory,
-    WorkloadDisturbance,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HarnessFault",
@@ -53,3 +38,12 @@ __all__ = [
     "FaultyWorkloadFactory",
     "WorkloadDisturbance",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faultinject.harness": ("HarnessFault", "HarnessFaultKind",
+                                  "HarnessFaultPlan", "apply_worker_fault"),
+    "repro.faultinject.system": ("FaultSchedule", "FaultWindow",
+                                 "SystemFaultKind"),
+    "repro.faultinject.workload": ("FaultyWorkload", "FaultyWorkloadFactory",
+                                   "WorkloadDisturbance"),
+})

@@ -1,22 +1,6 @@
 """Two-phase locking substrate: lock table, deadlocks, protocols, policies."""
 
-from repro.lockmgr.modes import LockMode, compatible
-from repro.lockmgr.lock_table import Grant, LockTable, RequestOutcome
-from repro.lockmgr.waits_for import WaitsForGraph, build_graph
-from repro.lockmgr.deadlock import choose_victim, find_cycle, resolve_deadlocks
-from repro.lockmgr.wait_policy import (
-    BoundedWaitPolicy,
-    NoWaitPolicy,
-    UnboundedWaitPolicy,
-    WaitPolicy,
-    compatible_groups,
-)
-from repro.lockmgr.prevention import (
-    DeadlockStrategy,
-    wait_die_should_die,
-    wound_wait_victims,
-)
-from repro.lockmgr.protocols import LockProtocol
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LockMode",
@@ -39,3 +23,17 @@ __all__ = [
     "wait_die_should_die",
     "wound_wait_victims",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.lockmgr.deadlock": ("choose_victim", "find_cycle",
+                               "resolve_deadlocks"),
+    "repro.lockmgr.lock_table": ("Grant", "LockTable", "RequestOutcome"),
+    "repro.lockmgr.modes": ("LockMode", "compatible"),
+    "repro.lockmgr.prevention": ("DeadlockStrategy", "wait_die_should_die",
+                                 "wound_wait_victims"),
+    "repro.lockmgr.protocols": ("LockProtocol",),
+    "repro.lockmgr.wait_policy": ("BoundedWaitPolicy", "NoWaitPolicy",
+                                  "UnboundedWaitPolicy", "WaitPolicy",
+                                  "compatible_groups"),
+    "repro.lockmgr.waits_for": ("WaitsForGraph", "build_graph"),
+})

@@ -1,14 +1,6 @@
 """Measurement: collectors, time-weighted stats, batch means, results."""
 
-from repro.metrics.batch_means import (
-    BatchStatistics,
-    student_t_quantile,
-    summarize_batches,
-)
-from repro.metrics.collector import AbortReason, Collector, MetricsSnapshot
-from repro.metrics.results import SimulationResults, build_results
-from repro.metrics.trace import TraceEvent, TraceEventType, Tracer
-from repro.metrics.timeweighted import TimeWeightedValue
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchStatistics",
@@ -24,3 +16,12 @@ __all__ = [
     "TraceEventType",
     "Tracer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.batch_means": ("BatchStatistics", "student_t_quantile",
+                                  "summarize_batches"),
+    "repro.metrics.collector": ("AbortReason", "Collector", "MetricsSnapshot"),
+    "repro.metrics.results": ("SimulationResults", "build_results"),
+    "repro.metrics.timeweighted": ("TimeWeightedValue",),
+    "repro.metrics.trace": ("TraceEvent", "TraceEventType", "Tracer"),
+})

@@ -25,15 +25,7 @@ own random streams from its parameters, so a batch with crashes and
 retries is bit-identical to a clean serial batch.
 """
 
-from repro.resilience.checkpoint import SweepCheckpoint
-from repro.resilience.failures import (
-    AttemptRecord,
-    FailedRun,
-    FailureKind,
-    is_failed,
-    split_results,
-)
-from repro.resilience.policy import ResiliencePolicy
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AttemptRecord",
@@ -44,3 +36,10 @@ __all__ = [
     "is_failed",
     "split_results",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.checkpoint": ("SweepCheckpoint",),
+    "repro.resilience.failures": ("AttemptRecord", "FailedRun", "FailureKind",
+                                  "is_failed", "split_results"),
+    "repro.resilience.policy": ("ResiliencePolicy",),
+})

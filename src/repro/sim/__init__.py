@@ -5,9 +5,7 @@ random streams (:class:`RandomStreams`), and the physical resource models
 (:class:`CpuPool`, :class:`DiskArray`) used by the DBMS model.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.rng import RandomStreams
-from repro.sim.resources import CpuPool, DiskArray, Priority
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Event",
@@ -17,3 +15,9 @@ __all__ = [
     "DiskArray",
     "Priority",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Event", "Simulator"),
+    "repro.sim.resources": ("CpuPool", "DiskArray", "Priority"),
+    "repro.sim.rng": ("RandomStreams",),
+})

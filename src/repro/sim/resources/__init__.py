@@ -6,7 +6,11 @@ control requests have priority, and a collection of disks each with its own
 FCFS queue.
 """
 
-from repro.sim.resources.cpu import CpuPool, Priority
-from repro.sim.resources.disk import DiskArray
+from repro._lazy import lazy_exports
 
 __all__ = ["CpuPool", "Priority", "DiskArray"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.resources.cpu": ("CpuPool", "Priority"),
+    "repro.sim.resources.disk": ("DiskArray",),
+})

@@ -34,94 +34,7 @@ allocations, no extra events — and strictly observational when
 enabled, so turning telemetry on never changes a trajectory.
 """
 
-from repro.telemetry.contention import (
-    ContentionMonitor,
-    ContentionSample,
-    PageHeat,
-)
-from repro.telemetry.decisions import (
-    ControllerDecision,
-    DecisionAction,
-    DecisionLog,
-)
-from repro.telemetry.export import (
-    TELEMETRY_FORMAT,
-    TelemetryConfig,
-    TelemetrySession,
-    json_dump,
-    jsonl_dump,
-    trace_event_to_dict,
-    write_cache_hit_manifest,
-)
-from repro.telemetry.latency import (
-    QUANTILE_LABELS,
-    LatencyAnalytics,
-    LatencyHistogram,
-)
-from repro.telemetry.online import (
-    EWMA,
-    Cusum,
-    OnlineRegimeMonitor,
-    RegimeChange,
-    RegimeDetector,
-    Welford,
-    detect_onset_cusum,
-)
-from repro.telemetry.perf import (
-    PERF_FORMAT,
-    AllocationProbe,
-    PerfProfiler,
-    chrome_trace_document,
-    collapsed_stacks,
-    page_class_of,
-    speedscope_document,
-)
-from repro.telemetry.probes import ProbeSample, ProbeScheduler
-from repro.telemetry.profiling import (
-    EngineProfiler,
-    canonical_qualname,
-    subsystem_of,
-)
-from repro.telemetry.sites import (
-    DistributedProbeScheduler,
-    SiteProbeSample,
-)
-from repro.telemetry.report import (
-    detect_thrashing_onset,
-    render_latency_report,
-    render_report,
-    render_run_report,
-    render_sites_report,
-    sparkline,
-    top_aborters,
-)
-from repro.telemetry.schemas import (
-    CHROME_TRACE_SCHEMA,
-    CONTENTION_SCHEMA,
-    CONTENTION_SUMMARY_SCHEMA,
-    DECISION_SCHEMA,
-    LATENCY_SCHEMA,
-    MANIFEST_SCHEMA,
-    PERF_SCHEMA,
-    PROBE_SCHEMA,
-    REGIMES_SCHEMA,
-    SITE_PROBE_SCHEMA,
-    SPAN_SCHEMA,
-    SPEEDSCOPE_SCHEMA,
-    SWEEP_SUMMARY_SCHEMA,
-    TRACE_SCHEMA,
-    validate_jsonl,
-    validate_record,
-    validate_run_dir,
-    validate_sweep_summary,
-)
-from repro.telemetry.spans import Span, SpanKind, SpanRecorder
-from repro.telemetry.sweep import (
-    find_knee,
-    render_sweep_report,
-    summarize_sweep,
-    write_sweep_summary,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ControllerDecision",
@@ -194,3 +107,42 @@ __all__ = [
     "validate_run_dir",
     "validate_sweep_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.contention": ("ContentionMonitor", "ContentionSample",
+                                   "PageHeat"),
+    "repro.telemetry.decisions": ("ControllerDecision", "DecisionAction",
+                                  "DecisionLog"),
+    "repro.telemetry.export": ("TELEMETRY_FORMAT", "TelemetryConfig",
+                               "TelemetrySession", "json_dump", "jsonl_dump",
+                               "trace_event_to_dict",
+                               "write_cache_hit_manifest"),
+    "repro.telemetry.latency": ("QUANTILE_LABELS", "LatencyAnalytics",
+                                "LatencyHistogram"),
+    "repro.telemetry.online": ("EWMA", "Cusum", "OnlineRegimeMonitor",
+                               "RegimeChange", "RegimeDetector", "Welford",
+                               "detect_onset_cusum"),
+    "repro.telemetry.perf": ("PERF_FORMAT", "AllocationProbe", "PerfProfiler",
+                             "chrome_trace_document", "collapsed_stacks",
+                             "page_class_of", "speedscope_document"),
+    "repro.telemetry.probes": ("ProbeSample", "ProbeScheduler"),
+    "repro.telemetry.profiling": ("EngineProfiler", "canonical_qualname",
+                                  "subsystem_of"),
+    "repro.telemetry.report": ("detect_thrashing_onset",
+                               "render_latency_report", "render_report",
+                               "render_run_report", "render_sites_report",
+                               "sparkline", "top_aborters"),
+    "repro.telemetry.schemas": ("CHROME_TRACE_SCHEMA", "CONTENTION_SCHEMA",
+                                "CONTENTION_SUMMARY_SCHEMA", "DECISION_SCHEMA",
+                                "LATENCY_SCHEMA", "MANIFEST_SCHEMA",
+                                "PERF_SCHEMA", "PROBE_SCHEMA",
+                                "REGIMES_SCHEMA", "SITE_PROBE_SCHEMA",
+                                "SPAN_SCHEMA", "SPEEDSCOPE_SCHEMA",
+                                "SWEEP_SUMMARY_SCHEMA", "TRACE_SCHEMA",
+                                "validate_jsonl", "validate_record",
+                                "validate_run_dir", "validate_sweep_summary"),
+    "repro.telemetry.sites": ("DistributedProbeScheduler", "SiteProbeSample"),
+    "repro.telemetry.spans": ("Span", "SpanKind", "SpanRecorder"),
+    "repro.telemetry.sweep": ("find_knee", "render_sweep_report",
+                              "summarize_sweep", "write_sweep_summary"),
+})

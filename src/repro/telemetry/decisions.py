@@ -142,6 +142,14 @@ class DecisionLog:
             self.dropped += 1
         self._decisions.append(decision)
 
+    def add(self, **fields: Any) -> None:
+        """Record a :class:`ControllerDecision` built from ``fields``.
+
+        Lets the simulator log a decision without importing this
+        module on its event path (the log is only there when telemetry
+        is on)."""
+        self.record(ControllerDecision(**fields))
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

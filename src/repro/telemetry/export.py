@@ -33,6 +33,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional,
                     Union)
 
 from repro.errors import ConfigurationError
+from repro.fingerprint import code_fingerprint
 from repro.metrics.trace import TraceEvent, Tracer
 from repro.telemetry.contention import ContentionMonitor
 from repro.telemetry.decisions import DecisionLog
@@ -95,13 +96,6 @@ def trace_event_to_dict(event: TraceEvent) -> Dict[str, Any]:
         "txn_id": event.txn_id,
         "detail": event.detail,
     }
-
-
-def _code_fingerprint() -> str:
-    # Imported lazily: the experiments layer sits above telemetry, and
-    # eager import would create a cycle through the runner.
-    from repro.experiments.parallel import code_fingerprint
-    return code_fingerprint()
 
 
 @dataclass(frozen=True)
@@ -332,7 +326,7 @@ class TelemetrySession:
             "workload": workload_name,
             "sim_time": sim_time,
             "probe_interval": self.probe_interval,
-            "code_fingerprint": _code_fingerprint(),
+            "code_fingerprint": code_fingerprint(),
             "cache_hit": False,
             "records": {
                 "probes": len(samples),
@@ -424,7 +418,7 @@ def write_cache_hit_manifest(run_dir: Union[str, Path],
         "workload": None,
         "sim_time": None,
         "probe_interval": None,
-        "code_fingerprint": _code_fingerprint(),
+        "code_fingerprint": code_fingerprint(),
         "cache_hit": True,
         "records": {},
     }

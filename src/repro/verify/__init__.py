@@ -24,29 +24,7 @@ Enable on a run with ``run_simulation(..., verify=VerifyConfig())`` or
 the CLI's ``--verify`` flag.
 """
 
-from repro.errors import (
-    InvariantViolation,
-    ShadowDivergence,
-    VerificationError,
-)
-from repro.verify.config import CADENCES, VerifyConfig
-from repro.verify.distributed import (
-    DistributedInvariantChecker,
-    check_quiesce,
-)
-from repro.verify.envelope import EnvelopeResult, check_envelope
-from repro.verify.golden import (
-    check_goldens,
-    compute_golden_manifest,
-    default_golden_path,
-    update_goldens,
-)
-from repro.verify.invariants import InvariantChecker
-from repro.verify.reference import (
-    ReferenceLockTable,
-    reference_classify_region,
-)
-from repro.verify.shadow import ShadowLockTable, canonical_grants
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CADENCES",
@@ -68,3 +46,18 @@ __all__ = [
     "InvariantViolation",
     "ShadowDivergence",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": ("InvariantViolation", "ShadowDivergence",
+                     "VerificationError"),
+    "repro.verify.config": ("CADENCES", "VerifyConfig"),
+    "repro.verify.distributed": ("DistributedInvariantChecker",
+                                 "check_quiesce"),
+    "repro.verify.envelope": ("EnvelopeResult", "check_envelope"),
+    "repro.verify.golden": ("check_goldens", "compute_golden_manifest",
+                            "default_golden_path", "update_goldens"),
+    "repro.verify.invariants": ("InvariantChecker",),
+    "repro.verify.reference": ("ReferenceLockTable",
+                               "reference_classify_region"),
+    "repro.verify.shadow": ("ShadowLockTable", "canonical_grants"),
+})

@@ -8,13 +8,16 @@ recovery.  :class:`DistributedInvariantChecker` attaches through the
 same ``sim.monitor`` hook slot as the single-site
 :class:`~repro.verify.invariants.InvariantChecker` and asserts:
 
-``system_consistency``
-    :meth:`DistributedSystem.check_invariants` — per-site lock-table
-    structure, tracker bucket conservation, site trackers partitioning
-    the global active set, blocked-flag/waiting-map sync, and (in
-    failure mode) every lock holder being active or in-doubt, down
-    sites holding only in-doubt locks, and limbo entries being backed
-    by in-doubt participant records.
+:meth:`DistributedSystem.check_invariants`
+    Per-site lock-table structure (``lock_table_consistency``), tracker
+    bucket conservation (``tracker_bucket_conservation``), site
+    trackers partitioning the global active set
+    (``site_population_partition``), blocked-flag/waiting-map sync
+    (``blocked_flag_sync``), and in failure mode every lock holder
+    being active or in-doubt (``lock_owner_live``), down sites holding
+    only in-doubt locks (``down_site_prepared_only``), and limbo
+    entries being backed by in-doubt participant records
+    (``limbo_indoubt_backed``).
 
 ``population_conservation``
     Closed system, extended for failures: active + ready-queued +
@@ -107,14 +110,6 @@ class DistributedInvariantChecker:
             if exc.sim_time is None:
                 exc.sim_time = self.system.sim.now
             raise
-        except AssertionError as exc:
-            # DistributedSystem.check_invariants uses bare asserts;
-            # wrap them in the typed violation the harness expects.
-            self.violations += 1
-            raise InvariantViolation(
-                str(exc) or "distributed system invariant failed",
-                invariant="system_consistency",
-                sim_time=self.system.sim.now) from exc
 
     def _violate(self, invariant: str, message: str, **evidence) -> None:
         raise InvariantViolation(message, invariant=invariant,

@@ -1,25 +1,6 @@
 """Workload generators: homogeneous, multi-class, and time-varying."""
 
-from repro.workload.base import (
-    WorkloadGenerator,
-    sample_page_sets,
-    sample_readset_size,
-)
-from repro.workload.homogeneous import HomogeneousWorkload
-from repro.workload.hotspot import (
-    HotspotWorkload,
-    effective_db_size_for_skew,
-)
-from repro.workload.mixed import (
-    MixedWorkload,
-    TransactionClass,
-    paper_mixed_classes,
-)
-from repro.workload.time_varying import (
-    FAST_PHASE_LENGTHS,
-    SLOW_PHASE_LENGTHS,
-    TimeVaryingWorkload,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "WorkloadGenerator",
@@ -35,3 +16,15 @@ __all__ = [
     "SLOW_PHASE_LENGTHS",
     "FAST_PHASE_LENGTHS",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workload.base": ("WorkloadGenerator", "sample_page_sets",
+                            "sample_readset_size"),
+    "repro.workload.homogeneous": ("HomogeneousWorkload",),
+    "repro.workload.hotspot": ("HotspotWorkload",
+                               "effective_db_size_for_skew"),
+    "repro.workload.mixed": ("MixedWorkload", "TransactionClass",
+                             "paper_mixed_classes"),
+    "repro.workload.time_varying": ("FAST_PHASE_LENGTHS", "SLOW_PHASE_LENGTHS",
+                                    "TimeVaryingWorkload"),
+})

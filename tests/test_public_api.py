@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+PACKAGES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg)
 
 
 def test_version():
@@ -12,6 +21,33 @@ def test_version():
 def test_all_names_resolve():
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.{name} missing"
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_every_package_export_resolves_and_is_listed(name):
+    package = importlib.import_module(name)
+    listed = dir(package)
+    for export in package.__all__:
+        assert export in listed, f"{name}.{export} missing from dir()"
+        getattr(package, export)
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_unknown_package_attribute_raises_attribute_error(name):
+    package = importlib.import_module(name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(package, "no_such_name")
+    assert not hasattr(package, "no_such_name")
+
+
+def test_lazy_export_is_the_defining_object():
+    from repro.core.half_and_half import HalfAndHalfController
+    from repro.experiments.figures import REGISTRY, get_figure
+    assert repro.HalfAndHalfController is HalfAndHalfController
+    assert repro.control.HalfAndHalfController is HalfAndHalfController
+    assert "fig07" in REGISTRY and "fig99" not in REGISTRY
+    for figure_id in REGISTRY:
+        assert get_figure(figure_id).figure_id == figure_id
 
 
 def test_key_classes_exposed():

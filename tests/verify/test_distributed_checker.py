@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import make_half_and_half_sites
@@ -89,16 +96,53 @@ def test_orphan_decision_record_is_caught():
     assert exc.value.invariant == "decision_record_accounting"
 
 
-def test_bare_assertions_become_typed_violations(monkeypatch):
-    system, checker = _run_checked()
+# Runs as a script, so it can run under ``python -O`` as well.
+_DESYNC_BLOCKED_FLAG = """
+from repro.distributed.config import DistributedParameters
+from repro.distributed.controllers import make_half_and_half_sites
+from repro.distributed.system import DistributedSystem
+from repro.errors import InvariantViolation
+from repro.metrics.collector import Collector
+from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
+from repro.verify.config import VerifyConfig
+from repro.verify.distributed import DistributedInvariantChecker
 
-    def broken():
-        raise AssertionError("lock table corrupt")
-    monkeypatch.setattr(system, "check_invariants", broken)
-    with pytest.raises(InvariantViolation) as exc:
-        checker.check_all()
-    assert exc.value.invariant == "system_consistency"
-    assert "lock table corrupt" in str(exc.value)
+params = DistributedParameters(
+    num_sites=3, num_terms=30, db_size=300, warmup_time=3.0,
+    num_batches=2, batch_time=8.0, failure_model=True)
+sim = Simulator()
+system = DistributedSystem(
+    params=params, controllers=make_half_and_half_sites(3),
+    collector=Collector(), sim=sim, streams=RandomStreams(params.seed))
+checker = DistributedInvariantChecker(VerifyConfig())
+checker.attach(system)
+system.start()
+sim.run(until=5.0)
+txn = next(t for t in system.tracker.active_transactions()
+           if not t.is_blocked)
+system.waiting_site[txn] = 0        # waiting, but not flagged blocked
+try:
+    checker.check_all(context="desynced")
+except InvariantViolation as exc:
+    print(exc.invariant, exc.evidence["txn_id"] == txn.txn_id,
+          exc.context, checker.violations)
+"""
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_desynced_blocked_flag_is_a_typed_violation(optimize):
+    # The system-level checks are real exceptions, so they survive
+    # ``python -O``, which strips ``assert`` statements.
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c",
+         _DESYNC_BLOCKED_FLAG],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["blocked_flag_sync", "True",
+                                   "desynced", "1"]
 
 
 def test_quiesce_rejects_parked_work_when_all_sites_up():
