@@ -3,9 +3,9 @@
 The ROADMAP's "fast as the hardware allows" goal needs a number:
 ``python -m repro.bench run`` executes a pinned suite of simulator
 configurations (:mod:`repro.bench.suite`) hook-free — events counted
-by the kernel's own counter, so the fast dispatch being measured stays
-enabled — and records wall-clock events/sec and sim-pages/sec per
-entry in ``BENCH_<label>.json``, stamped with machine and code
+by the kernel's own counter, so no profiler hook is timed along — and
+records wall-clock events/sec and sim-pages/sec per entry in
+``BENCH_<label>.json``, stamped with machine and code
 provenance; ``python -m repro.bench compare`` diffs two such files
 against a relative tolerance for CI regression gating
 (:mod:`repro.bench.compare`), and :mod:`repro.bench.history` keeps the

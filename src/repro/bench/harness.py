@@ -53,8 +53,7 @@ def run_entry(entry: BenchEntry) -> Dict[str, Any]:
     Events are counted by the kernel's own ``Simulator.events_executed``
     counter rather than an attached :class:`EngineProfiler`: a profiler
     hook costs microseconds per event, which at these rates dwarfs the
-    thing being measured, and it also disables the system's hook-free
-    fast dispatch — the configuration the bench exists to measure.
+    thing being measured.
     """
     sim = Simulator()
     start = time.perf_counter()

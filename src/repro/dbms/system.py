@@ -149,51 +149,17 @@ class DBMSSystem:
     def start(self) -> None:
         """Schedule the first arrival from every terminal.
 
-        This is also the fast-dispatch binding point: observability
-        hooks (``tracer``, ``spans``, ``contention``, ``invariants``)
-        must be attached *before* ``start()``.  When all four are
-        absent the state machine rebinds its per-event methods to
-        hook-free variants, so a plain run pays zero ``is not None``
-        checks per transition (see DESIGN.md, "kernel fast path").
+        The hook slots (``tracer``, ``spans``, ``contention``,
+        ``invariants``) are read where each hook fires, so the system
+        imposes no attach order: an observer attached mid-run sees the
+        run from that point on.
         """
         if self._started:
             raise SimulationError("DBMSSystem.start() called twice")
         self._started = True
-        if (self.tracer is None and self.spans is None
-                and self.contention is None and self.invariants is None):
-            self._bind_fast_dispatch()
         for terminal_id in range(self.params.num_terms):
             self.sim.post(self._think_delay(),
                           self._terminal_submits, terminal_id)
-
-    def _bind_fast_dispatch(self) -> None:
-        """Shadow the hooked state-machine methods with hook-free twins.
-
-        Instance attributes win over class attributes at lookup time, so
-        every internal ``self._xxx(...)`` call and every event callback
-        scheduled after this point dispatches to the fast variant.  The
-        twins must stay behaviourally identical to the hooked originals
-        minus the hook calls — ``tests/dbms/test_fast_dispatch.py`` pins
-        bit-equivalence of the two paths.
-        """
-        self._arrival = self._arrival_fast
-        self._admit = self._admit_fast
-        self._do_request_lock = self._do_request_lock_fast
-        self._lock_granted = self._lock_granted_fast
-        self._start_page_read = self._start_page_read_fast
-        self._page_io_done = self._page_io_done_fast
-        self._page_read_done = self._page_read_done_fast
-        self._start_write_cpu = self._start_write_cpu_fast
-        self._write_cpu_done = self._write_cpu_done_fast
-        self._next_deferred_write = self._next_deferred_write_fast
-        self._deferred_write_done = self._deferred_write_done_fast
-        self._commit = self._commit_fast
-        self.abort_transaction = self._abort_transaction_fast
-        if self.params.cc_cpu > 0.0:
-            self._request_lock = self._request_lock_fast_cc
-        else:
-            # No CC CPU charge: requesting a lock *is* processing it.
-            self._request_lock = self._do_request_lock_fast
 
     def _think_delay(self) -> float:
         mean = self.params.think_time
@@ -439,8 +405,9 @@ class DBMSSystem:
     # ------------------------------------------------------------------
 
     def _start_page_read(self, txn: Transaction) -> None:
-        page = txn.current_page()
-        if self.buffer.access_read(page):
+        # ``current_page`` and ``choose_disk`` + ``access``, fused: this
+        # runs per page on the hottest state-machine path.
+        if self.buffer.access_read(txn.readset[txn.step_index]):
             if self.spans is not None:
                 self.spans.begin_cpu(txn)
             self.cpu.request(self.params.page_cpu,
@@ -448,9 +415,8 @@ class DBMSSystem:
         else:
             if self.spans is not None:
                 self.spans.begin_disk(txn)
-            disk = self.disks.choose_disk(self._disk_rng)
-            self.disks.access(disk, self.params.page_io,
-                              self._page_io_done, txn)
+            self.disks.access_random(self._disk_rng, self.params.page_io,
+                                     self._page_io_done, txn)
 
     def _page_io_done(self, txn: Transaction) -> None:
         if self.spans is not None:
@@ -466,7 +432,7 @@ class DBMSSystem:
         if txn.wounded:
             self.abort_transaction(txn, AbortReason.WOUND_WAIT)
             return
-        page = txn.current_page()
+        page = txn.readset[txn.step_index]
         if not self.params.locking_enabled:
             if page in txn.writeset:
                 self._start_write_cpu(txn)
@@ -513,9 +479,8 @@ class DBMSSystem:
         self.buffer.access_write(page)
         if self.spans is not None:
             self.spans.begin_disk(txn)
-        disk = self.disks.choose_disk(self._disk_rng)
-        self.disks.access(disk, self.params.page_io,
-                          self._deferred_write_done, txn)
+        self.disks.access_random(self._disk_rng, self.params.page_io,
+                                 self._deferred_write_done, txn)
 
     def _deferred_write_done(self, txn: Transaction) -> None:
         if self.spans is not None:
@@ -590,13 +555,13 @@ class DBMSSystem:
         self._process_grants(grants)
         self.controller.on_removed(txn)
 
+    # Kept only for the benchmark's layer tracer (``perfbench/layers.py``
+    # ``CLASS_TARGETS``), which looks this name up in the class dict.
+    _abort_transaction_fast = abort_transaction
+
     # ------------------------------------------------------------------
     # Passivation (the Malthusian cold set)
     # ------------------------------------------------------------------
-    # Passivation is a rare controller decision, never on the per-page
-    # hot path, so one implementation with ``None``-guarded hooks serves
-    # both dispatch modes — no ``_fast`` twins needed.
-
     def passivate_transaction(self, txn: Transaction) -> None:
         """Move a blocked, lock-free transaction into the cold set.
 
@@ -654,184 +619,6 @@ class DBMSSystem:
                                detail=f"cold set {len(self.parked)}")
         self._admit(txn)
         return txn
-
-    # ------------------------------------------------------------------
-    # Hook-free fast dispatch
-    # ------------------------------------------------------------------
-    # Line-for-line twins of the hooked methods above with every
-    # ``if self.tracer/spans/contention/invariants is not None`` branch
-    # removed.
-    # ``_bind_fast_dispatch`` shadows the originals with these when no
-    # hook is attached at ``start()``; they must produce bit-identical
-    # trajectories (the hooks are strictly observational).  Any change
-    # to a hooked method above must be mirrored here.
-
-    def _arrival_fast(self, txn: Transaction) -> None:
-        if self.controller.want_admit(txn):
-            self._admit(txn)
-        else:
-            self.ready_queue.push(txn)
-            self.collector.set_ready_queue_length(
-                self.sim.now, len(self.ready_queue))
-
-    def _admit_fast(self, txn: Transaction) -> None:
-        txn.phase = TxnPhase.EXECUTING
-        txn.admitted_at = self.sim.now
-        self.tracker.add(txn, self.sim.now)
-        self.collector.on_admission()
-        self.controller.on_admit(txn)
-        self.sim.post(0.0, self._next_operation, txn)
-
-    def _request_lock_fast_cc(self, txn: Transaction, page: int,
-                              mode: LockMode,
-                              upgrade_purpose: bool) -> None:
-        self.cpu.request(self.params.cc_cpu, self._do_request_lock,
-                         txn, page, mode, upgrade_purpose,
-                         priority=Priority.CC)
-
-    def _do_request_lock_fast(self, txn: Transaction, page: int,
-                              mode: LockMode,
-                              upgrade_purpose: bool) -> None:
-        if txn.wounded:
-            self.abort_transaction(txn, AbortReason.WOUND_WAIT)
-            return
-        outcome = self.lock_table.request(txn, page, mode)
-        if outcome is RequestOutcome.GRANTED:
-            self._lock_granted(txn, upgrade_purpose)
-            return
-        if not self.wait_policy.allow_wait(self.lock_table, txn,
-                                           page, mode):
-            grants = self.lock_table.cancel_wait(txn)
-            self._process_grants(grants)
-            self.abort_transaction(txn, AbortReason.WAIT_POLICY)
-            return
-        if self.deadlock_strategy is DeadlockStrategy.WAIT_DIE:
-            if wait_die_should_die(self.lock_table, txn, self._age_key):
-                grants = self.lock_table.cancel_wait(txn)
-                self._process_grants(grants)
-                self.abort_transaction(txn, AbortReason.WAIT_DIE)
-                return
-        elif self.deadlock_strategy is DeadlockStrategy.WOUND_WAIT:
-            for victim in wound_wait_victims(self.lock_table, txn,
-                                             self._age_key):
-                self._wound(victim)
-        else:
-            resolve_deadlocks(self.lock_table, txn,
-                              timestamp=self._age_key,
-                              abort=self._abort_deadlock_victim)
-        if not self.lock_table.is_waiting(txn):
-            return
-        self.tracker.set_blocked(txn, True, self.sim.now)
-        self.controller.on_block(txn)
-
-    def _lock_granted_fast(self, txn: Transaction,
-                           was_upgrade: bool) -> None:
-        if txn.is_blocked:
-            self.tracker.set_blocked(txn, False, self.sim.now)
-            self.controller.on_unblock(txn)
-        txn.locks_completed += 1
-        if (not txn.is_mature
-                and txn.locks_completed >= txn.maturity_threshold):
-            self.tracker.set_mature(txn, self.sim.now)
-        self.controller.on_lock_granted(txn)
-        if was_upgrade:
-            self._start_write_cpu(txn)
-        else:
-            self._start_page_read(txn)
-
-    def _start_page_read_fast(self, txn: Transaction) -> None:
-        if self.buffer.access_read(txn.readset[txn.step_index]):
-            self.cpu.request(self.params.page_cpu,
-                             self._page_read_done, txn)
-        else:
-            self.disks.access_random(self._disk_rng,
-                                     self.params.page_io,
-                                     self._page_io_done, txn)
-
-    def _page_io_done_fast(self, txn: Transaction) -> None:
-        self.cpu.request(self.params.page_cpu, self._page_read_done, txn)
-
-    def _page_read_done_fast(self, txn: Transaction) -> None:
-        txn.attempt_reads += 1
-        self.collector.on_page_read()
-        if txn.wounded:
-            self.abort_transaction(txn, AbortReason.WOUND_WAIT)
-            return
-        page = txn.readset[txn.step_index]
-        if not self.params.locking_enabled:
-            if page in txn.writeset:
-                self._start_write_cpu(txn)
-            else:
-                txn.step_index += 1
-                self._next_operation(txn)
-            return
-        if page in txn.writeset:
-            if self.params.lock_upgrades:
-                self._request_lock(txn, page, LockMode.X,
-                                   upgrade_purpose=True)
-            else:
-                self._start_write_cpu(txn)
-            return
-        if txn.lock_protocol.releases_read_locks_early():
-            grants = self.lock_table.release(txn, page)
-            self._process_grants(grants)
-        txn.step_index += 1
-        self._next_operation(txn)
-
-    def _start_write_cpu_fast(self, txn: Transaction) -> None:
-        self.cpu.request(self.params.page_cpu, self._write_cpu_done, txn)
-
-    def _write_cpu_done_fast(self, txn: Transaction) -> None:
-        if txn.wounded:
-            self.abort_transaction(txn, AbortReason.WOUND_WAIT)
-            return
-        txn.step_index += 1
-        self._next_operation(txn)
-
-    def _next_deferred_write_fast(self, txn: Transaction) -> None:
-        if not txn.pending_updates:
-            self._commit(txn)
-            return
-        page = txn.pending_updates.pop()
-        self.buffer.access_write(page)
-        self.disks.access_random(self._disk_rng, self.params.page_io,
-                                 self._deferred_write_done, txn)
-
-    def _deferred_write_done_fast(self, txn: Transaction) -> None:
-        txn.attempt_writes += 1
-        self.collector.on_page_written()
-        self._next_deferred_write(txn)
-
-    def _commit_fast(self, txn: Transaction) -> None:
-        terminal_id = txn.terminal_id
-        self.tracker.remove(txn, self.sim.now)
-        txn.phase = TxnPhase.COMMITTED
-        self.collector.on_commit(
-            pages=txn.attempt_reads + txn.attempt_writes,
-            response_time=self.sim.now - txn.timestamp,
-            restarts=txn.restarts, class_name=txn.class_name)
-        grants = self.lock_table.release_all(txn)
-        self._process_grants(grants)
-        self.controller.on_commit(txn)
-        self.controller.on_removed(txn)
-        self.sim.post(self._think_delay(),
-                      self._terminal_submits, terminal_id)
-
-    def _abort_transaction_fast(self, txn: Transaction,
-                                reason: str) -> None:
-        if not self.tracker.is_active(txn):
-            raise SimulationError(
-                f"cannot abort {txn!r}: not an active transaction")
-        self.tracker.remove(txn, self.sim.now)
-        txn.phase = TxnPhase.ABORTED
-        self.collector.on_abort(reason, class_name=txn.class_name)
-        grants = self.lock_table.release_all(txn)
-        self.controller.on_abort(txn, reason)
-        txn.reset_for_restart()
-        self.sim.post(self.params.effective_restart_delay,
-                      self._arrival, txn)
-        self._process_grants(grants)
-        self.controller.on_removed(txn)
 
     # ------------------------------------------------------------------
     # Introspection helpers

@@ -302,118 +302,63 @@ class Simulator:
         horizon = float("inf") if until is None else until
         limit = float("inf") if max_events is None else max_events
         try:
-            if profiler is None and monitor is None:
-                # Hook-free fast loop: identical semantics minus the
-                # per-event profiler/monitor dispatch.  Any change here
-                # must be mirrored in the hooked loop below.
-                while heap:
-                    if self._stopped:
-                        break
-                    slot = heap[0]
-                    callback = slot[2]
-                    if callback is None:      # cancelled: lazy deletion
-                        pool.append(heappop(heap))
-                        self._dead -= 1
-                        continue
-                    time = slot[0]
-                    if time > horizon:
-                        break
-                    if fired >= limit:
-                        hit_max = True
-                        break
-                    heappop(heap)
-                    self._now = time
-                    args = slot[3]
-                    handle = slot[4]
-                    if handle is not None:
-                        # Detach the handle so a late cancel() is a
-                        # no-op rather than corrupting the recycled
-                        # slot.
-                        handle._slot = None
-                        handle._sim = None
-                        slot[4] = None
-                    # Recycle the slot before running the callback;
-                    # clearing the references also keeps fired events
-                    # from pinning model objects through the pool.
-                    slot[2] = None
-                    slot[3] = None
-                    pool.append(slot)
-                    try:
+            while heap:
+                if self._stopped:
+                    break
+                slot = heap[0]
+                callback = slot[2]
+                if callback is None:      # cancelled: lazy deletion
+                    pool.append(heappop(heap))
+                    self._dead -= 1
+                    continue
+                time = slot[0]
+                if time > horizon:
+                    break
+                if fired >= limit:
+                    hit_max = True
+                    break
+                heappop(heap)
+                self._now = time
+                args = slot[3]
+                handle = slot[4]
+                if handle is not None:
+                    # Detach the handle so a late cancel() is a no-op
+                    # rather than corrupting the recycled slot.
+                    handle._slot = None
+                    handle._sim = None
+                    slot[4] = None
+                # Recycle the slot before running the callback; clearing
+                # the references also keeps fired events from pinning
+                # model objects through the pool.
+                slot[2] = None
+                slot[3] = None
+                pool.append(slot)
+                try:
+                    if profiler is None:
                         callback(*args)
-                    except (SimulationError, VerificationError):
-                        raise
-                    except Exception as exc:
-                        name = getattr(callback, "__qualname__",
-                                       repr(callback))
-                        raise SimulationError(
-                            f"event callback {name} raised at simulated "
-                            f"time {self._now:.6f} "
-                            f"(event #{fired + 1}): "
-                            f"{type(exc).__name__}: {exc}") from exc
-                    fired += 1
-            else:
-                while heap:
-                    if self._stopped:
-                        break
-                    slot = heap[0]
-                    callback = slot[2]
-                    if callback is None:      # cancelled: lazy deletion
-                        pool.append(heappop(heap))
-                        self._dead -= 1
-                        continue
-                    time = slot[0]
-                    if time > horizon:
-                        break
-                    if fired >= limit:
-                        hit_max = True
-                        break
-                    heappop(heap)
-                    self._now = time
-                    args = slot[3]
-                    handle = slot[4]
-                    if handle is not None:
-                        # Detach the handle so a late cancel() is a
-                        # no-op rather than corrupting the recycled
-                        # slot.
-                        handle._slot = None
-                        handle._sim = None
-                        slot[4] = None
-                    # Recycle the slot before running the callback;
-                    # clearing the references also keeps fired events
-                    # from pinning model objects through the pool.
-                    slot[2] = None
-                    slot[3] = None
-                    pool.append(slot)
-                    try:
-                        if profiler is None:
-                            callback(*args)
-                        else:
-                            start = perf_counter()
-                            callback(*args)
-                            profiler.record(callback,
-                                            perf_counter() - start,
-                                            args)
-                    except (SimulationError, VerificationError):
-                        # Verification failures (invariant violations,
-                        # shadow divergences) are first-class: wrapping
-                        # them would hide the typed evidence they carry.
-                        raise
-                    except Exception as exc:
-                        # Chain with the simulated time and callback so
-                        # an in-simulation failure is debuggable from
-                        # the traceback alone.  CPython 3.11+
-                        # try/except costs nothing on the no-exception
-                        # path.
-                        name = getattr(callback, "__qualname__",
-                                       repr(callback))
-                        raise SimulationError(
-                            f"event callback {name} raised at simulated "
-                            f"time {self._now:.6f} "
-                            f"(event #{fired + 1}): "
-                            f"{type(exc).__name__}: {exc}") from exc
-                    fired += 1
-                    if monitor is not None:
-                        monitor.on_event(callback)
+                    else:
+                        start = perf_counter()
+                        callback(*args)
+                        profiler.record(callback, perf_counter() - start,
+                                        args)
+                except (SimulationError, VerificationError):
+                    # Verification failures (invariant violations, shadow
+                    # divergences) are first-class: wrapping them would
+                    # hide the typed evidence they carry.
+                    raise
+                except Exception as exc:
+                    # Chain with the simulated time and callback so an
+                    # in-simulation failure is debuggable from the
+                    # traceback alone.  CPython 3.11+ try/except costs
+                    # nothing on the no-exception path.
+                    name = getattr(callback, "__qualname__", repr(callback))
+                    raise SimulationError(
+                        f"event callback {name} raised at simulated "
+                        f"time {self._now:.6f} (event #{fired + 1}): "
+                        f"{type(exc).__name__}: {exc}") from exc
+                fired += 1
+                if monitor is not None:
+                    monitor.on_event(callback)
         finally:
             self._running = False
             self.events_executed += fired

@@ -18,8 +18,7 @@ stream, never schedules an event, and reads the lock table only
 through its public deterministic accessors, so a monitored run follows
 exactly the same trajectory (results *and* trace) as an unmonitored
 one.  When no monitor is attached the system pays one ``None`` check
-per hook — and with *no* observer attached at all the PR-6 hook-free
-fast dispatch still binds, unchanged.
+per hook.
 """
 
 from __future__ import annotations
@@ -90,10 +89,10 @@ class ContentionSample:
 class ContentionMonitor:
     """Accumulates contention heat for one run.
 
-    Attach with :meth:`attach` *before* ``system.start()`` (the hook
-    slot participates in the fast-dispatch decision) and append the
-    monitor to the probe scheduler's listeners to collect the per-tick
-    graph statistics.  A :class:`~repro.telemetry.export
+    Attach with :meth:`attach`, before or during a run (a monitor
+    attached mid-run does not charge waits already open), and append
+    the monitor to the probe scheduler's listeners to collect the
+    per-tick graph statistics.  A :class:`~repro.telemetry.export
     .TelemetrySession` built with ``contention=True`` does both.
     """
 

@@ -90,8 +90,7 @@ class PerfProfiler(EngineProfiler):
 
     * ``stacks`` — ``(phase, subsystem, event_type, page_class)`` →
       ``[count, seconds]``, the flamegraph input.  Event types are the
-      canonical qualnames, so the fast/slow dispatch twins aggregate
-      under one key here exactly as they do in the base buckets.
+      canonical qualnames, keyed exactly as in the base buckets.
     * ``ticks`` — one wall-clock throughput sample per probe firing
       (the profiler registers as a probe listener); each tick carries
       the events and wall seconds since the previous tick plus, when

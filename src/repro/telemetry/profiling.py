@@ -12,15 +12,9 @@ duration.  Events are bucketed two ways:
   so it also answers "which transition is hot: ``_page_read_done``,
   ``_next_operation``, a disk completion?".
 
-Canonicalization matters because of the kernel fast path: when no
-observability hook is attached, :meth:`DBMSSystem._bind_fast_dispatch`
-shadows the state-machine methods with hook-free ``*_fast`` twins, so
-the same logical transition reaches the profiler under two different
-bound methods depending on dispatch path.  :func:`canonical_qualname`
-collapses the twins (``DBMSSystem._page_read_done_fast`` and
-``DBMSSystem._page_read_done`` both key as
-``DBMSSystem._page_read_done``), which keeps profiles comparable across
-configurations and aggregates both paths under one key.
+Every run, observed or not, dispatches through the same state-machine
+methods, so one transition always keys the same way across
+configurations.
 
 The profiler measures *wall* time and is therefore intentionally kept
 out of the deterministic telemetry files; its summary lands in the
@@ -37,16 +31,6 @@ from typing import Any, Callable, Dict, Tuple
 __all__ = ["EngineProfiler", "subsystem_of", "canonical_qualname"]
 
 _PACKAGE_PREFIX = "repro."
-
-# The fast-dispatch suffixes, longest first so ``_fast_cc`` is not
-# half-stripped to a stale ``_cc`` key.
-_FAST_SUFFIXES = ("_fast_cc", "_fast")
-
-# Fast twins whose stripped name still differs from the hooked
-# original's public name.
-_QUALNAME_ALIASES = {
-    "DBMSSystem._abort_transaction": "DBMSSystem.abort_transaction",
-}
 
 
 def subsystem_of(callback: Callable[..., Any]) -> str:
@@ -65,23 +49,15 @@ def subsystem_of(callback: Callable[..., Any]) -> str:
 def canonical_qualname(callback: Callable[..., Any]) -> str:
     """The logical event-type key for one event callback.
 
-    The callback's ``__qualname__`` with any fast-dispatch suffix
-    stripped, so the hook-free ``*_fast`` twins and their hooked
-    originals collapse into one key regardless of which dispatch path
-    executed the event.  Callables without a qualname (rare: partials,
-    C callables) key as their ``__name__`` or type name.
+    The callback's ``__qualname__``; callables without one (rare:
+    partials, C callables) key as their ``__name__`` or type name.
     """
     qual = getattr(callback, "__qualname__", None)
     if qual is None:
         qual = getattr(callback, "__name__", None)
         if qual is None:
             qual = type(callback).__name__
-        return qual
-    for suffix in _FAST_SUFFIXES:
-        if qual.endswith(suffix):
-            qual = qual[:-len(suffix)]
-            break
-    return _QUALNAME_ALIASES.get(qual, qual)
+    return qual
 
 
 class EngineProfiler:

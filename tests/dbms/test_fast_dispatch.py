@@ -1,21 +1,25 @@
-"""Hook-free fast dispatch: bit-equivalence with the hooked paths.
+"""Zero-cost-off dispatch: observers never change a trajectory.
 
-``DBMSSystem.start()`` rebinds the state-machine methods to hook-free
-twins when no tracer, span recorder, or invariant checker is attached.
-The twins are hand-maintained copies, so these tests pin the contract
-that matters: a hooks-off run produces results *identical* to a hooked
-run of the same configuration, and attaching any hook disables the
-rebinding entirely.
+Every hook site in ``DBMSSystem`` is one ``is None`` guard on its slot
+(``tracer``, ``spans``, ``contention``, ``invariants``), and the
+simulator's single event loop guards its ``profiler`` and ``monitor``
+slots the same way.  These tests pin the contract that matters: a
+hooks-off run produces results *identical* to a fully observed run of
+the same configuration, on every branch of the state machine, and an
+observer attached mid-run records from that point on.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.control.malthusian import MalthusianController
 from repro.core.half_and_half import HalfAndHalfController
 from repro.dbms.config import SimulationParameters
 from repro.dbms.system import DBMSSystem
 from repro.experiments.runner import run_simulation
+from repro.lockmgr.prevention import DeadlockStrategy
+from repro.lockmgr.wait_policy import BoundedWaitPolicy
 from repro.metrics.trace import TraceEventType, Tracer
 from repro.verify.config import VerifyConfig
 
@@ -29,67 +33,94 @@ def dispatch_params() -> SimulationParameters:
         warmup_time=2.0, num_batches=2, batch_time=5.0, seed=7)
 
 
-def test_fast_dispatch_bound_only_without_hooks(dispatch_params):
-    plain = DBMSSystem(params=dispatch_params,
-                       controller=HalfAndHalfController())
-    plain.start()
-    # The rebinding is per-instance: the fast twins shadow the class
-    # methods through the instance __dict__.
-    assert plain.__dict__["_commit"].__func__ is DBMSSystem._commit_fast
-    assert (plain.__dict__["_arrival"].__func__
-            is DBMSSystem._arrival_fast)
+# One case per state-machine branch: (parameter overrides, extra
+# run_simulation keywords built fresh per run, controller class).
+BRANCHES = {
+    "base": ({}, dict, HalfAndHalfController),
+    "cc_cpu": ({"cc_cpu": 0.001}, dict, HalfAndHalfController),
+    "buffered": ({"buf_size": 30}, dict, HalfAndHalfController),
+    "immediate_x": ({"lock_upgrades": False}, dict, HalfAndHalfController),
+    "no_locking": ({"locking_enabled": False}, dict,
+                   HalfAndHalfController),
+    "wait_die": ({}, lambda: {"deadlock_strategy":
+                              DeadlockStrategy.WAIT_DIE},
+                 HalfAndHalfController),
+    "wound_wait": ({}, lambda: {"deadlock_strategy":
+                                DeadlockStrategy.WOUND_WAIT},
+                   HalfAndHalfController),
+    "bounded_wait": ({}, lambda: {"wait_policy": BoundedWaitPolicy(1)},
+                     HalfAndHalfController),
+    "think_time": ({"think_time": 0.5}, dict, HalfAndHalfController),
+    "malthusian": ({}, dict, MalthusianController),
+}
 
-    traced = DBMSSystem(params=dispatch_params,
-                        controller=HalfAndHalfController(),
-                        tracer=Tracer())
-    traced.start()
-    assert "_commit" not in traced.__dict__
-    assert "_arrival" not in traced.__dict__
 
-
-def test_contention_monitor_disables_fast_dispatch(dispatch_params):
+def test_observer_attached_mid_run_records(dispatch_params):
     from repro.telemetry.contention import ContentionMonitor
-    monitored = DBMSSystem(params=dispatch_params,
-                           controller=HalfAndHalfController())
-    ContentionMonitor().attach(monitored)
-    monitored.start()
-    # The contention slot participates in the fast-dispatch decision:
-    # with a monitor attached, the hooked class methods stay bound.
-    assert "_commit" not in monitored.__dict__
-    assert "_arrival" not in monitored.__dict__
+    system = DBMSSystem(params=dispatch_params,
+                        controller=HalfAndHalfController())
+    system.start()
+    system.sim.run(until=1.0)
+    tracer = Tracer()
+    system.tracer = tracer
+    monitor = ContentionMonitor()
+    monitor.attach(system)
+    system.sim.run(until=5.0)
+    # No attach-order rule: hooks attached after start() still fire.
+    assert len(tracer) > 0
+    assert monitor.total_conflicts > 0
 
 
 def test_contention_monitored_results_identical_to_fast_path(
         dispatch_params, tmp_path):
     """Bit-equivalence regression: contention monitoring on follows the
-    exact trajectory of the hook-free fast path."""
+    exact trajectory of the unobserved run."""
     from repro.telemetry import TelemetrySession
-    fast = run_simulation(dispatch_params, HalfAndHalfController())
+    plain = run_simulation(dispatch_params, HalfAndHalfController())
     session = TelemetrySession(tmp_path / "run", contention=True)
     monitored = run_simulation(dispatch_params, HalfAndHalfController(),
                                telemetry=session)
-    assert fast == monitored
+    assert plain == monitored
     # ... and the monitor genuinely observed the run.
     assert session.contention.total_conflicts > 0
 
 
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_hooks_off_results_identical_to_observed_run(
+        dispatch_params, tmp_path, branch):
+    from repro.telemetry import TelemetrySession
+    overrides, extra, controller_cls = BRANCHES[branch]
+    params = dispatch_params.replace(**overrides)
+    plain = run_simulation(params, controller_cls(), **extra())
+    session = TelemetrySession(tmp_path / "run", spans=True,
+                               contention=True, online=True)
+    observed = run_simulation(params, controller_cls(),
+                              telemetry=session, verify=VerifyConfig(),
+                              **extra())
+    # Bit-identical trajectories: every measured statistic matches
+    # exactly, not approximately.
+    assert plain == observed
+    # ... and the observed run genuinely took the hooked paths.
+    counts = session.tracer.counts()
+    assert counts.get(TraceEventType.COMMIT, 0) > 0
+    if branch == "malthusian":
+        assert counts.get(TraceEventType.PARK, 0) > 0
+
+
 def test_hooks_off_results_identical_to_traced_run(dispatch_params):
-    fast = run_simulation(dispatch_params, HalfAndHalfController())
+    plain = run_simulation(dispatch_params, HalfAndHalfController())
     tracer = Tracer()
     hooked = run_simulation(dispatch_params, HalfAndHalfController(),
                             tracer=tracer)
-    # Bit-identical trajectories: every measured statistic matches
-    # exactly, not approximately.
-    assert fast == hooked
-    # ... and the hooked run genuinely took the hooked paths.
+    assert plain == hooked
     assert len(tracer) > 0
 
 
 def test_hooks_off_results_identical_to_verified_run(dispatch_params):
-    fast = run_simulation(dispatch_params, HalfAndHalfController())
+    plain = run_simulation(dispatch_params, HalfAndHalfController())
     verified = run_simulation(dispatch_params, HalfAndHalfController(),
                               verify=VerifyConfig())
-    assert fast == verified
+    assert plain == verified
 
 
 def test_traced_run_exercises_the_lifecycle_hooks(dispatch_params):

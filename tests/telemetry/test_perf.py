@@ -33,43 +33,8 @@ class _Callbacks:
     def _page_read_done(self):
         pass
 
-    def _page_read_done_fast(self):
-        pass
-
-    def _request_lock_fast_cc(self):
-        pass
-
     def _request_lock(self):
         pass
-
-    def abort_transaction(self):
-        pass
-
-    def _abort_transaction_fast(self):
-        pass
-
-
-def test_canonical_qualname_collapses_fast_twins():
-    cb = _Callbacks()
-    assert (canonical_qualname(cb._page_read_done_fast)
-            == canonical_qualname(cb._page_read_done)
-            == "_Callbacks._page_read_done")
-    # _fast_cc strips wholly, not to a stale "_cc" key.
-    assert (canonical_qualname(cb._request_lock_fast_cc)
-            == "_Callbacks._request_lock")
-
-
-def test_canonical_qualname_abort_alias():
-    cb = _Callbacks()
-    # The fast twin of the *public* abort entry point strips to the
-    # private name; the alias maps it back so both paths share a key.
-    assert (canonical_qualname(cb._abort_transaction_fast)
-            == "_Callbacks._abort_transaction")
-
-    from repro.dbms.system import DBMSSystem
-    assert (canonical_qualname(DBMSSystem._abort_transaction_fast)
-            == canonical_qualname(DBMSSystem.abort_transaction)
-            == "DBMSSystem.abort_transaction")
 
 
 def test_canonical_qualname_handles_nameless_callables():
@@ -80,14 +45,14 @@ def test_canonical_qualname_handles_nameless_callables():
     assert canonical_qualname(partial) == "partial"
 
 
-def test_engine_profiler_keys_fast_and_slow_paths_together():
+def test_engine_profiler_keys_bound_methods_by_qualname():
+    # Bound methods are fresh objects per attribute access (and differ
+    # per instance); one method still keys as one event type.
     profiler = EngineProfiler()
-    cb = _Callbacks()
-    profiler.record(cb._page_read_done, 0.001)
-    profiler.record(cb._page_read_done_fast, 0.002)
+    profiler.record(_Callbacks()._page_read_done, 0.001)
+    profiler.record(_Callbacks()._page_read_done, 0.002)
     (key,) = profiler.by_event_type
-    assert key.endswith("._page_read_done")
-    assert "_fast" not in key
+    assert key.endswith("._Callbacks._page_read_done")
     assert profiler.by_event_type[key][0] == 2
     assert profiler.by_event_type[key][1] == pytest.approx(0.003)
 
@@ -124,7 +89,7 @@ def test_perf_profiler_stacks_and_phases():
     profiler.set_phase("warmup")
     profiler.record(cb._page_read_done, 0.001, (_FakeTxn(0, 2, 1),))
     profiler.set_phase("measure")
-    profiler.record(cb._page_read_done_fast, 0.002, (_FakeTxn(0, 2, 1),))
+    profiler.record(cb._page_read_done, 0.002, (_FakeTxn(0, 2, 1),))
     profiler.record(cb._page_read_done, 0.004, (_FakeTxn(2, 2, 1),))
     keys = set(profiler.stacks)
     subsystem = next(iter(profiler.by_subsystem))
@@ -273,13 +238,7 @@ def test_perf_json_phases_stacks_and_alloc(profiled_pair):
     assert validate_record(perf, PERF_SCHEMA) == []
     # The runner marked both phases.
     assert set(perf["phases"]) >= {"warmup", "measure"}
-    # Dispatch went through the fast twins (no other hooks beyond the
-    # tracer... the session attaches a tracer, so the slow path runs —
-    # either way no raw _fast keys may leak into the attribution).
     assert perf["stacks"]
-    for row in perf["stacks"]:
-        assert not row["event_type"].endswith("_fast")
-        assert not row["event_type"].endswith("_fast_cc")
     page_classes = {row["page_class"] for row in perf["stacks"]}
     assert "read_page" in page_classes
     # Ticks: one per probe sample, wall rates attached, alloc fields
@@ -306,12 +265,11 @@ def test_trace_json_covers_spans_and_probes(profiled_pair):
 
 
 def test_fast_and_slow_dispatch_profile_under_same_keys(tiny_params):
-    # Hook-free run: the system binds its _fast twins (a bare profiler
-    # does not disable fast dispatch).
+    # Hook-free run (a bare profiler attaches no system hook).
     fast_profiler = EngineProfiler()
     run_simulation(tiny_params, NoControlController(),
                    profiler=fast_profiler)
-    # Fully hooked run: tracer installed → slow dispatch.
+    # Hooked run: tracer installed.
     from repro.metrics.trace import Tracer
     slow_profiler = EngineProfiler()
     run_simulation(tiny_params, NoControlController(), tracer=Tracer(),
@@ -321,10 +279,8 @@ def test_fast_and_slow_dispatch_profile_under_same_keys(tiny_params):
     slow_keys = {k for k in slow_profiler.by_event_type
                  if k.startswith("dbms.system.")}
     assert fast_keys and slow_keys
-    # Same logical transitions on both paths, no _fast leakage.
-    assert fast_keys <= slow_keys
-    for key in fast_keys | slow_keys:
-        assert not key.endswith("_fast")
+    # Both runs execute the same state-machine methods.
+    assert fast_keys == slow_keys
 
 
 def test_alloc_requires_perf(tmp_path):
@@ -338,7 +294,6 @@ def test_profile_json_gains_event_types(profiled_pair):
     profile = json.loads((root / "perf" / "profile.json").read_text())
     loop = profile["event_loop"]
     assert loop["event_types"]
-    assert all("_fast" not in key for key in loop["event_types"])
 
 
 def test_dashboard_renders_perf_section(profiled_pair):
