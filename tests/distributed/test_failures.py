@@ -19,6 +19,7 @@ from repro.distributed.failures import (
 )
 from repro.distributed.runner import run_distributed_simulation
 from repro.errors import ConfigurationError
+from repro.lockmgr.prevention import DeadlockStrategy
 from repro.metrics.collector import AbortReason
 from repro.verify.config import VerifyConfig
 
@@ -105,6 +106,50 @@ def test_failures_off_reproduces_pinned_trajectories():
                                     make_half_and_half_sites(3))
     assert (hh.commits, hh.aborts, hh.page_throughput.mean) == \
         (304, 74, 188.75)
+
+
+# Contention hot enough for the prevention schemes to fire often.
+_HOT = dict(num_terms=30, db_size=60, tran_size=6, write_prob=0.8,
+            locality=0.3)
+
+
+@pytest.mark.parametrize("make_params, controllers, strategy, plan, pinned", [
+    pytest.param(_failure_params, make_half_and_half_sites, None, PLAN,
+                 (166, 75, 104.5,
+                  {"deadlock": 4, "load_control": 56, "site_crash": 15}),
+                 id="plan-hh"),
+    pytest.param(_failure_params, make_no_control_sites, None, PLAN,
+                 (137, 36, 88.375, {"deadlock": 11, "site_crash": 25}),
+                 id="plan-nc"),
+    pytest.param(lambda: _params(**_HOT), make_no_control_sites,
+                 DeadlockStrategy.WAIT_DIE, None,
+                 (64, 4722, 42.5625, {"wait_die": 4722}),
+                 id="hot-nc-wait_die"),
+    pytest.param(lambda: _params(**_HOT), make_no_control_sites,
+                 DeadlockStrategy.WOUND_WAIT, None,
+                 (72, 706, 48.3125, {"wound_wait": 706}),
+                 id="hot-nc-wound_wait"),
+    pytest.param(lambda: _failure_params(**_HOT), make_half_and_half_sites,
+                 DeadlockStrategy.WAIT_DIE, PLAN,
+                 (37, 636, 23.9375,
+                  {"load_control": 2, "site_crash": 13, "wait_die": 621}),
+                 id="hot-plan-hh-wait_die"),
+    pytest.param(lambda: _failure_params(**_HOT), make_half_and_half_sites,
+                 DeadlockStrategy.WOUND_WAIT, PLAN,
+                 (44, 198, 29.625,
+                  {"load_control": 5, "site_crash": 6, "wound_wait": 187}),
+                 id="hot-plan-hh-wound_wait"),
+])
+def test_pinned_trajectories(make_params, controllers, strategy, plan,
+                             pinned):
+    """Failure-mode and prevention-scheme trajectories, pinned so that a
+    refactor of the lifecycle or the transport cannot move them."""
+    kwargs = {"fault_plan": plan}
+    if strategy is not None:
+        kwargs["deadlock_strategy"] = strategy
+    r = run_distributed_simulation(make_params(), controllers(3), **kwargs)
+    reasons = {k: v for k, v in r.aborts_by_reason.items() if v}
+    assert (r.commits, r.aborts, r.page_throughput.mean, reasons) == pinned
 
 
 def test_same_seed_and_plan_is_bit_identical():
