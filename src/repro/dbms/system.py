@@ -21,6 +21,14 @@ Transaction flow, exactly as Section 3 describes it:
    string, goes to the *back* of the external ready queue, and re-executes
    from scratch once re-admitted.
 
+Sites.  Each per-page step runs at the page's *site* (an object with
+``lock_table``, ``cpu``, ``disks`` and ``buffer``), looked up once per
+step in a page→site table and carried by the step's continuations.  The
+centralized system is its own only site, so a ``lock_table`` swapped in
+before :meth:`DBMSSystem.start` is the one every step uses.
+:class:`repro.distributed.system.DistributedSystem` runs this state
+machine over several sites; see its module for what it overrides.
+
 Reentrancy discipline: lock-table state, tracker populations, and
 controller hooks are updated *synchronously*, so the Half-and-Half
 controller always sees consistent counts; only the start of an admitted
@@ -31,12 +39,15 @@ Invariant relied on throughout: only *blocked* transactions are ever
 aborted (deadlock victims, load-control victims, and bounded-wait-policy
 rejects are all waiting at the moment of abort), so a transaction that is
 holding a CPU or disk or has a pending continuation event is never torn
-down mid-flight.
+down mid-flight.  A transaction that must die while running — wounded
+under wound-wait, or doomed by a site crash — is flagged instead and
+aborts at its next *checkpoint*: the entry of the next operation, of a
+lock request or of a deferred write, and the end of each page's work.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 from repro.core.maturity import MaturityRule
 from repro.core.state_tracker import StateTracker
@@ -67,6 +78,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["DBMSSystem"]
 
+Site = Any      # see "Sites" in the module docstring
+SiteWork = Callable[[Transaction, int, Site], None]   # a step at a site
+
+
+def equip_site(site: Site, sim: Simulator,
+               params: SimulationParameters) -> None:
+    """Give ``site`` its lock table, CPU pool, disk array and
+    ``buf_size``-page LRU buffer pool (no pool when ``buf_size`` is
+    None)."""
+    site.lock_table = LockTable()
+    site.cpu = CpuPool(sim, params.num_cpus)
+    site.disks = DiskArray(sim, params.num_disks)
+    site.buffer = (LRUBuffer(params.buf_size)
+                   if params.buf_size is not None else NullBuffer())
+
 
 class DBMSSystem:
     """A complete simulated DBMS instance for one run."""
@@ -94,20 +120,10 @@ class DBMSSystem:
         # (e.g. ClassPriorityPolicy); None = strict FIFO.
         self.admission_order = admission_order
         self.deadlock_strategy = deadlock_strategy
-        self.tracker = StateTracker(self.collector)
-        self.lock_table = LockTable()
         self.wait_policy = (wait_policy if wait_policy is not None
                             else UnboundedWaitPolicy())
         self.maturity_rule = (maturity_rule if maturity_rule is not None
                               else MaturityRule())
-        self.cpu = CpuPool(self.sim, params.num_cpus)
-        self.disks = DiskArray(self.sim, params.num_disks)
-        self.buffer: Union[LRUBuffer, NullBuffer]
-        if params.buf_size is not None:
-            self.buffer = LRUBuffer(params.buf_size)
-        else:
-            self.buffer = NullBuffer()
-        self.ready_queue = ReadyQueue()
         # Passivated (cold-set) transactions, LIFO: the Malthusian
         # controller parks overload victims here instead of aborting
         # them and readmits from the top of the stack.  Always present
@@ -116,6 +132,7 @@ class DBMSSystem:
         self.parked: List[Transaction] = []
         self.workload = (workload if workload is not None
                          else HomogeneousWorkload(self.streams, params))
+        self._build_sites()
         self.controller = controller
         controller.attach(self)
         # Optional per-transaction span recorder (see
@@ -132,6 +149,11 @@ class DBMSSystem:
         # on-commit cadence hooks here; per-event cadences hook the
         # simulator's monitor slot instead.
         self.invariants = None
+        # Optional ``(txn, site) -> bool`` run as a page's or a write's
+        # service completes; False drops the completion (the distributed
+        # failure model's leftovers of torn-down remote visits).
+        self._work_guard: Optional[Callable[[Transaction, Site],
+                                            bool]] = None
         # Prebound RNG substreams: ``RandomStreams.stream`` hashes the
         # stream name per variate, which adds up on hot paths, so the
         # system caches the ``random.Random`` objects it draws from once.
@@ -141,6 +163,14 @@ class DBMSSystem:
         self._started = False
         # Statistics the controller/runner may want.
         self.total_generated = 0
+
+    def _build_sites(self) -> None:
+        """Build the sites, the page→site table, the tracker and the
+        ready queue.  Centralized: the system is its own only site."""
+        equip_site(self, self.sim, self.params)
+        self.tracker = StateTracker(self.collector)
+        self.ready_queue = ReadyQueue()
+        self._site_of: List[Site] = [self] * self.params.db_size
 
     # ------------------------------------------------------------------
     # Startup
@@ -155,7 +185,8 @@ class DBMSSystem:
         run from that point on.
         """
         if self._started:
-            raise SimulationError("DBMSSystem.start() called twice")
+            raise SimulationError(
+                f"{type(self).__name__}.start() called twice")
         self._started = True
         for terminal_id in range(self.params.num_terms):
             self.sim.post(self._think_delay(),
@@ -226,10 +257,13 @@ class DBMSSystem:
         *which* queued transaction enters is FIFO unless an
         ``admission_order`` policy is installed.
         """
+        return self._admit_from(self.ready_queue)
+
+    def _admit_from(self, queue: ReadyQueue) -> bool:
         if self.admission_order is not None:
-            txn = self.ready_queue.pop_best(self.admission_order)
+            txn = queue.pop_best(self.admission_order)
         else:
-            txn = self.ready_queue.pop()
+            txn = queue.pop()
         if txn is None:
             return False
         self.collector.set_ready_queue_length(
@@ -252,10 +286,30 @@ class DBMSSystem:
         self.sim.post(0.0, self._next_operation, txn)
 
     # ------------------------------------------------------------------
+    # Transport seams.  A page read whose site is the system itself
+    # (always, when centralized) skips them: there is nowhere to travel.
+    # ------------------------------------------------------------------
+
+    def _go_to_owner(self, txn: Transaction, page: int, site: Site,
+                     work: SiteWork) -> None:
+        """Run ``work`` — a lock request, an unlocked page read, or a
+        deferred write — at ``page``'s owning ``site``."""
+        work(txn, page, site)
+
+    def _reply_home(self, txn: Transaction, site: Site,
+                    next_step: Callable[[Transaction], None]) -> None:
+        """A page's or a write's work at ``site`` is done: continue
+        with ``next_step`` at the transaction's home."""
+        next_step(txn)
+
+    # ------------------------------------------------------------------
     # Execution state machine
     # ------------------------------------------------------------------
 
     def _next_operation(self, txn: Transaction) -> None:
+        if txn.doomed is not None or txn.wounded:
+            self._abort_at_checkpoint(txn)
+            return
         # ``finished_reading``/``current_page``, inlined: this runs per
         # page on the hottest state-machine path.
         readset = txn.readset
@@ -269,58 +323,68 @@ class DBMSSystem:
                 self._commit(txn)
             return
         page = readset[txn.step_index]
-        if not self.params.locking_enabled:
-            # Figure 1 reference mode: no concurrency control at all.
-            self._start_page_read(txn)
-            return
-        immediate_x = (not self.params.lock_upgrades
-                       and page in txn.writeset)
-        mode = LockMode.X if immediate_x else LockMode.S
-        self._request_lock(txn, page, mode, upgrade_purpose=False)
+        site = self._site_of[page]
+        # Figure 1's reference mode (locking off) reads with no
+        # concurrency control at all.
+        if site is not self:
+            self._go_to_owner(txn, page, site,
+                              self._request_lock if self.params.locking_enabled
+                              else self._start_page_read)
+        elif self.params.locking_enabled:
+            self._request_lock(txn, page, site)
+        else:
+            self._start_page_read(txn, page, site)
 
-    def _request_lock(self, txn: Transaction, page: int, mode: LockMode,
-                      upgrade_purpose: bool) -> None:
+    def _abort_at_checkpoint(self, txn: Transaction) -> None:
+        # Doomed wins over wounded: the crash already sealed its fate.
+        self.abort_transaction(
+            txn, txn.doomed if txn.doomed is not None
+            else AbortReason.WOUND_WAIT)
+
+    def _request_lock(self, txn: Transaction, page: int, site: Site,
+                      upgrade: bool = False) -> None:
         if self.params.cc_cpu > 0.0:
             if self.spans is not None:
                 self.spans.begin_cpu(txn)
-            self.cpu.request(self.params.cc_cpu, self._do_request_lock,
-                             txn, page, mode, upgrade_purpose,
+            site.cpu.request(self.params.cc_cpu, self._do_request_lock,
+                             txn, page, site, upgrade,
                              priority=Priority.CC)
         else:
-            self._do_request_lock(txn, page, mode, upgrade_purpose)
+            self._do_request_lock(txn, page, site, upgrade)
 
-    def _do_request_lock(self, txn: Transaction, page: int, mode: LockMode,
-                         upgrade_purpose: bool) -> None:
+    def _do_request_lock(self, txn: Transaction, page: int, site: Site,
+                         upgrade: bool) -> None:
         if self.spans is not None:
             # Closes the CC CPU span when one was opened (cc_cpu > 0);
             # a no-op on the synchronous path.
             self.spans.end_service(txn)
-        if txn.wounded:
-            # Wound-wait: a deferred wound takes effect at the next
-            # scheduling checkpoint, which is here.
-            self.abort_transaction(txn, AbortReason.WOUND_WAIT)
+        if txn.doomed is not None or txn.wounded:
+            self._abort_at_checkpoint(txn)
             return
-        outcome = self.lock_table.request(txn, page, mode)
+        mode = (LockMode.X if upgrade or (not self.params.lock_upgrades
+                                          and page in txn.writeset)
+                else LockMode.S)
+        table = site.lock_table
+        outcome = table.request(txn, page, mode)
         if outcome is RequestOutcome.GRANTED:
-            self._lock_granted(txn, upgrade_purpose)
+            self._lock_granted(txn, page, site, upgrade)
             return
         # The request blocked.  First the wait policy (bounded wait
         # queues abort the requester outright) ...
-        if not self.wait_policy.allow_wait(self.lock_table, txn,
-                                           page, mode):
-            grants = self.lock_table.cancel_wait(txn)
-            self._process_grants(grants)
+        if not self.wait_policy.allow_wait(table, txn, page, mode):
+            self._process_grants(table.cancel_wait(txn), site)
             self.abort_transaction(txn, AbortReason.WAIT_POLICY)
             return
-        # ... then the configured deadlock handling.
+        # ... then the configured deadlock handling, over the system's
+        # lock table: the site's own, or the union of all sites.
+        lock_table = self.lock_table
         if self.deadlock_strategy is DeadlockStrategy.WAIT_DIE:
-            if wait_die_should_die(self.lock_table, txn, self._age_key):
-                grants = self.lock_table.cancel_wait(txn)
-                self._process_grants(grants)
+            if wait_die_should_die(lock_table, txn, self._age_key):
+                self._process_grants(table.cancel_wait(txn), site)
                 self.abort_transaction(txn, AbortReason.WAIT_DIE)
                 return
         elif self.deadlock_strategy is DeadlockStrategy.WOUND_WAIT:
-            for victim in wound_wait_victims(self.lock_table, txn,
+            for victim in wound_wait_victims(lock_table, txn,
                                              self._age_key):
                 self._wound(victim)
         else:
@@ -328,10 +392,10 @@ class DBMSSystem:
             # victim.  Ties on timestamp (all initial arrivals share
             # t=0 under zero think time) break on txn_id so victim
             # choice is deterministic.
-            resolve_deadlocks(self.lock_table, txn,
+            resolve_deadlocks(lock_table, txn,
                               timestamp=self._age_key,
                               abort=self._abort_deadlock_victim)
-        if not self.lock_table.is_waiting(txn):
+        if not lock_table.is_waiting(txn):
             # Either granted by a victim's releases (the grant cascade
             # already resumed it) or chosen as the victim itself (it is
             # back in the ready queue).  Nothing more to do here.
@@ -368,7 +432,8 @@ class DBMSSystem:
         else:
             victim.wounded = True
 
-    def _lock_granted(self, txn: Transaction, was_upgrade: bool) -> None:
+    def _lock_granted(self, txn: Transaction, page: int, site: Site,
+                      was_upgrade: bool) -> None:
         if txn.is_blocked:
             self.tracker.set_blocked(txn, False, self.sim.now)
             if self.spans is not None:
@@ -392,102 +457,119 @@ class DBMSSystem:
                                txn.txn_id)
         self.controller.on_lock_granted(txn)
         if was_upgrade:
-            self._start_write_cpu(txn)
+            self._start_write_cpu(txn, site)
         else:
-            self._start_page_read(txn)
+            self._start_page_read(txn, page, site)
 
-    def _process_grants(self, grants: Iterable[Grant]) -> None:
+    def _process_grants(self, grants: Iterable[Grant], site: Site) -> None:
         for grant in grants:
-            self._lock_granted(grant.txn, grant.was_upgrade)
+            self._lock_granted(grant.txn, grant.page, site,
+                               grant.was_upgrade)
 
     # ------------------------------------------------------------------
     # Page processing
     # ------------------------------------------------------------------
 
-    def _start_page_read(self, txn: Transaction) -> None:
-        # ``current_page`` and ``choose_disk`` + ``access``, fused: this
-        # runs per page on the hottest state-machine path.
-        if self.buffer.access_read(txn.readset[txn.step_index]):
+    def _start_page_read(self, txn: Transaction, page: int,
+                         site: Site) -> None:
+        if site.buffer.access_read(page):
             if self.spans is not None:
                 self.spans.begin_cpu(txn)
-            self.cpu.request(self.params.page_cpu,
-                             self._page_read_done, txn)
+            site.cpu.request(self.params.page_cpu,
+                             self._page_read_done, txn, site)
         else:
             if self.spans is not None:
                 self.spans.begin_disk(txn)
-            self.disks.access_random(self._disk_rng, self.params.page_io,
-                                     self._page_io_done, txn)
+            site.disks.access_random(self._disk_rng, self.params.page_io,
+                                     self._page_io_done, txn, site)
 
-    def _page_io_done(self, txn: Transaction) -> None:
+    def _page_io_done(self, txn: Transaction, site: Site) -> None:
         if self.spans is not None:
             self.spans.end_service(txn)
             self.spans.begin_cpu(txn)
-        self.cpu.request(self.params.page_cpu, self._page_read_done, txn)
+        site.cpu.request(self.params.page_cpu, self._page_read_done,
+                         txn, site)
 
-    def _page_read_done(self, txn: Transaction) -> None:
+    def _page_read_done(self, txn: Transaction, site: Site) -> None:
+        if self._work_guard is not None and not self._work_guard(txn, site):
+            return
         if self.spans is not None:
             self.spans.end_service(txn)
         txn.attempt_reads += 1
         self.collector.on_page_read()
-        if txn.wounded:
-            self.abort_transaction(txn, AbortReason.WOUND_WAIT)
+        if txn.doomed is not None or txn.wounded:
+            self._abort_at_checkpoint(txn)
             return
         page = txn.readset[txn.step_index]
-        if not self.params.locking_enabled:
-            if page in txn.writeset:
-                self._start_write_cpu(txn)
-            else:
-                txn.step_index += 1
-                self._next_operation(txn)
-            return
+        locking = self.params.locking_enabled
         if page in txn.writeset:
-            if self.params.lock_upgrades:
-                self._request_lock(txn, page, LockMode.X,
-                                   upgrade_purpose=True)
+            if locking and self.params.lock_upgrades:
+                self._request_lock(txn, page, site, upgrade=True)
             else:
-                self._start_write_cpu(txn)
+                self._start_write_cpu(txn, site)
             return
-        if txn.lock_protocol.releases_read_locks_early():
-            grants = self.lock_table.release(txn, page)
-            self._process_grants(grants)
+        if locking and txn.lock_protocol.releases_read_locks_early():
+            self._process_grants(site.lock_table.release(txn, page), site)
         txn.step_index += 1
-        self._next_operation(txn)
+        if site is self:
+            self._next_operation(txn)
+        else:
+            self._reply_home(txn, site, self._next_operation)
 
-    def _start_write_cpu(self, txn: Transaction) -> None:
+    def _start_write_cpu(self, txn: Transaction, site: Site) -> None:
         if self.spans is not None:
             self.spans.begin_cpu(txn)
-        self.cpu.request(self.params.page_cpu, self._write_cpu_done, txn)
+        site.cpu.request(self.params.page_cpu, self._write_cpu_done,
+                         txn, site)
 
-    def _write_cpu_done(self, txn: Transaction) -> None:
+    def _write_cpu_done(self, txn: Transaction, site: Site) -> None:
+        if self._work_guard is not None and not self._work_guard(txn, site):
+            return
         if self.spans is not None:
             self.spans.end_service(txn)
-        if txn.wounded:
-            self.abort_transaction(txn, AbortReason.WOUND_WAIT)
+        if txn.doomed is not None or txn.wounded:
+            self._abort_at_checkpoint(txn)
             return
         txn.step_index += 1
-        self._next_operation(txn)
+        if site is self:
+            self._next_operation(txn)
+        else:
+            self._reply_home(txn, site, self._next_operation)
 
     # ------------------------------------------------------------------
     # Deferred updates and commit
     # ------------------------------------------------------------------
 
     def _next_deferred_write(self, txn: Transaction) -> None:
+        if txn.doomed is not None or txn.wounded:
+            self._abort_at_checkpoint(txn)
+            return
         if not txn.pending_updates:
             self._commit(txn)
             return
         page = txn.pending_updates.pop()
-        self.buffer.access_write(page)
+        self._go_to_owner(txn, page, self._site_of[page],
+                          self._deferred_write)
+
+    def _deferred_write(self, txn: Transaction, page: int,
+                        site: Site) -> None:
+        site.buffer.access_write(page)
         if self.spans is not None:
             self.spans.begin_disk(txn)
-        self.disks.access_random(self._disk_rng, self.params.page_io,
-                                 self._deferred_write_done, txn)
+        site.disks.access_random(self._disk_rng, self.params.page_io,
+                                 self._deferred_write_done, txn, site)
 
-    def _deferred_write_done(self, txn: Transaction) -> None:
+    def _deferred_write_done(self, txn: Transaction, site: Site) -> None:
+        if self._work_guard is not None and not self._work_guard(txn, site):
+            return
         if self.spans is not None:
             self.spans.end_service(txn)
         txn.attempt_writes += 1
         self.collector.on_page_written()
-        self._next_deferred_write(txn)
+        if txn.doomed is not None or txn.wounded:
+            self._abort_at_checkpoint(txn)
+            return
+        self._reply_home(txn, site, self._next_deferred_write)
 
     def _commit(self, txn: Transaction) -> None:
         terminal_id = txn.terminal_id
@@ -505,8 +587,7 @@ class DBMSSystem:
             restarts=txn.restarts, class_name=txn.class_name)
         # "Locks are all released together at end-of-transaction (after
         # the deferred updates have been performed)."
-        grants = self.lock_table.release_all(txn)
-        self._process_grants(grants)
+        self._release_locks(txn)
         self.controller.on_commit(txn)
         self.controller.on_removed(txn)
         # The terminal thinks, then submits its next transaction.
@@ -517,6 +598,12 @@ class DBMSSystem:
             # population-conservation law holds at the check point.
             self.invariants.on_commit(txn)
 
+    def _release_locks(self, txn: Transaction) -> None:
+        """Release every lock ``txn`` holds and cancel its wait, at
+        commit (``txn.phase`` COMMITTED) or abort, and resume whoever
+        that unblocks."""
+        self._process_grants(self.lock_table.release_all(txn), self)
+
     # ------------------------------------------------------------------
     # Aborts
     # ------------------------------------------------------------------
@@ -525,8 +612,9 @@ class DBMSSystem:
         """Abort an active transaction and re-queue it for restart.
 
         Safe only for transactions that are currently *blocked* (or, for
-        the wait-policy path, whose pending request was just cancelled):
-        they hold no resource and have no pending continuation event.
+        the wait-policy path, whose pending request was just cancelled),
+        or that stopped at a checkpoint: they hold no resource and have
+        no pending continuation event.
         """
         if not self.tracker.is_active(txn):
             raise SimulationError(
@@ -537,27 +625,29 @@ class DBMSSystem:
         if self.spans is not None:
             self.spans.on_abort(txn, reason)
         if self.contention is not None:
-            # Before release_all, while the monitor's open-wait record
+            # Before the release, while the monitor's open-wait record
             # still names the page the victim died waiting on.
             self.contention.on_abort(txn, reason)
         if self.tracer is not None:
             self.tracer.record_abort(self.sim.now, txn.txn_id, reason)
-        grants = self.lock_table.release_all(txn)
+        self._release_locks(txn)
         self.controller.on_abort(txn, reason)
-        # Back of the external ready queue, original timestamp retained.
-        # The re-arrival is paced by the restart delay: with a strictly
-        # zero delay, a policy that aborts at request time (bounded wait
-        # queues) would retry against unchanged lock state in the same
-        # simulated instant, forever.
         txn.reset_for_restart()
-        self.sim.post(self.params.effective_restart_delay,
-                      self._arrival, txn)
-        self._process_grants(grants)
+        self._schedule_restart(txn)
         self.controller.on_removed(txn)
 
     # Kept only for the benchmark's layer tracer (``perfbench/layers.py``
     # ``CLASS_TARGETS``), which looks this name up in the class dict.
     _abort_transaction_fast = abort_transaction
+
+    def _schedule_restart(self, txn: Transaction) -> None:
+        # Back of the external ready queue, original timestamp retained.
+        # The re-arrival is paced by the restart delay: with a strictly
+        # zero delay, a policy that aborts at request time (bounded wait
+        # queues) would retry against unchanged lock state in the same
+        # simulated instant, forever.
+        self.sim.post(self.params.effective_restart_delay,
+                      self._arrival, txn)
 
     # ------------------------------------------------------------------
     # Passivation (the Malthusian cold set)
@@ -600,7 +690,7 @@ class DBMSSystem:
                                txn.txn_id,
                                detail=f"cold set {len(self.parked)}")
         # Cancelling the wait may promote waiters behind the victim.
-        self._process_grants(grants)
+        self._process_grants(grants, self)
 
     def reactivate_one(self) -> Optional[Transaction]:
         """Readmit the most recently parked transaction (LIFO).
@@ -624,10 +714,6 @@ class DBMSSystem:
     # Introspection helpers
     # ------------------------------------------------------------------
 
-    def blocked_transactions(self) -> List[Transaction]:
-        """Currently blocked active transactions (for controllers/tests)."""
-        return list(self.tracker.blocked_transactions())
-
     def check_invariants(self) -> None:
         """Cross-check lock table and tracker consistency.
 
@@ -645,7 +731,10 @@ class DBMSSystem:
                     f"{txn!r}: blocked flag {txn.is_blocked} but "
                     f"lock-table waiting {waiting}",
                     invariant="blocked_flag_sync",
-                    sim_time=self.sim.now)
+                    sim_time=self.sim.now,
+                    evidence={"txn_id": txn.txn_id,
+                              "is_blocked": txn.is_blocked,
+                              "waiting": waiting})
         for txn in self.parked:
             if self.tracker.is_active(txn):
                 raise InvariantViolation(

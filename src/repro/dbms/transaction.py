@@ -43,7 +43,7 @@ class Transaction:
         "readset", "writeset", "lock_protocol",
         "estimated_locks", "maturity_threshold",
         "phase", "step_index", "locks_completed", "is_mature", "is_blocked",
-        "waiting_for_upgrade", "pending_updates", "wounded", "doomed",
+        "pending_updates", "wounded", "doomed",
         "restarts", "admitted_at", "attempt_reads", "attempt_writes",
     )
 
@@ -68,7 +68,6 @@ class Transaction:
         self.locks_completed = 0            # granted lock requests so far
         self.is_mature = False
         self.is_blocked = False
-        self.waiting_for_upgrade = False
         self.wounded = False                # wound-wait: abort at checkpoint
         self.doomed: Optional[str] = None   # failure model: abort at
         #                                     checkpoint with this reason
@@ -122,7 +121,6 @@ class Transaction:
         self.locks_completed = 0
         self.is_mature = False
         self.is_blocked = False
-        self.waiting_for_upgrade = False
         self.wounded = False
         self.doomed = None
         self.pending_updates = []

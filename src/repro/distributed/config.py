@@ -3,8 +3,8 @@
 Extends the single-site :class:`SimulationParameters` with the
 multi-site knobs.  Per-site hardware equals the paper's base
 configuration (each site gets ``num_cpus`` CPUs and ``num_disks``
-disks), so a ``num_sites = 1`` run degenerates to the centralized
-model plus zero network delays.
+disks).  The distributed system runs the centralized lifecycle, so a
+``num_sites = 1`` run with ``msg_delay = 0`` is the centralized model.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ __all__ = ["DistributedParameters"]
 @dataclass
 class DistributedParameters(SimulationParameters):
     """Multi-site model parameters.
+
+    The inherited knobs apply per site: each site has its own
+    ``buf_size``-page LRU buffer pool, and ``cc_cpu`` is charged on the
+    CPU of the site that owns the page.
 
     Attributes:
         num_sites: number of sites; the database is range-partitioned

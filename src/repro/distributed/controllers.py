@@ -29,13 +29,17 @@ the per-site instances.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 from repro.control.base import LoadController
 from repro.control.fixed_mpl import FixedMPLController
 from repro.control.no_control import NoControlController
 from repro.core.half_and_half import HalfAndHalfController
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dbms.transaction import Transaction
+    from repro.distributed.system import DistributedSystem
 
 __all__ = ["PerSiteControllerSet", "make_half_and_half_sites",
            "make_no_control_sites", "make_fixed_mpl_sites"]
@@ -44,18 +48,53 @@ ControllerFactory = Callable[[], LoadController]
 
 
 class PerSiteControllerSet:
-    """One independent load controller per site."""
+    """One independent load controller per site.
+
+    The system drives the set through the eight lifecycle hooks of
+    :class:`~repro.control.base.LoadController`; each hook goes to the
+    controller of the transaction's home site.
+    """
 
     def __init__(self, controllers: Sequence[LoadController]):
         if not controllers:
             raise ConfigurationError("need at least one site controller")
         self.controllers: List[LoadController] = list(controllers)
+        # Each terminal's home-site controller, bound by attach().
+        self._by_terminal: List[LoadController] = []
 
     def __len__(self) -> int:
         return len(self.controllers)
 
-    def for_site(self, site: int) -> LoadController:
-        return self.controllers[site]
+    def attach(self, system: "DistributedSystem") -> None:
+        """Attach each site's controller to that site's view."""
+        for view, controller in zip(system.site_views, self.controllers):
+            controller.attach(view)
+        self._by_terminal = [self.controllers[home]
+                             for home in system.terminal_home]
+
+    def want_admit(self, txn: "Transaction") -> bool:
+        return self._by_terminal[txn.terminal_id].want_admit(txn)
+
+    def on_admit(self, txn: "Transaction") -> None:
+        self._by_terminal[txn.terminal_id].on_admit(txn)
+
+    def on_lock_granted(self, txn: "Transaction") -> None:
+        self._by_terminal[txn.terminal_id].on_lock_granted(txn)
+
+    def on_block(self, txn: "Transaction") -> None:
+        self._by_terminal[txn.terminal_id].on_block(txn)
+
+    def on_unblock(self, txn: "Transaction") -> None:
+        self._by_terminal[txn.terminal_id].on_unblock(txn)
+
+    def on_commit(self, txn: "Transaction") -> None:
+        self._by_terminal[txn.terminal_id].on_commit(txn)
+
+    def on_abort(self, txn: "Transaction", reason: str) -> None:
+        self._by_terminal[txn.terminal_id].on_abort(txn, reason)
+
+    def on_removed(self, txn: "Transaction") -> None:
+        self._by_terminal[txn.terminal_id].on_removed(txn)
 
     @property
     def name(self) -> str:

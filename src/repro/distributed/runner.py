@@ -1,7 +1,11 @@
-"""Runner for distributed simulations (mirrors the single-site runner)."""
+"""Runner for distributed simulations: builds a
+:class:`~repro.distributed.system.DistributedSystem` and measures it
+with the single-site runner's loop
+(:func:`repro.experiments.runner.measure`)."""
 
 from __future__ import annotations
 
+import functools
 from time import perf_counter
 from typing import Optional
 
@@ -10,11 +14,9 @@ from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import PerSiteControllerSet
 from repro.distributed.failures import SiteFaultPlan
 from repro.distributed.system import DistributedSystem
+from repro.experiments.runner import measure
 from repro.lockmgr.prevention import DeadlockStrategy
-from repro.metrics.collector import Collector
-from repro.metrics.results import SimulationResults, build_results
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
+from repro.metrics.results import SimulationResults
 
 __all__ = ["run_distributed_simulation"]
 
@@ -56,68 +58,26 @@ def run_distributed_simulation(
             (purely observational — no shadow lock table in the
             distributed model).
     """
-    if telemetry is not None and profiler is not None:
-        raise ValueError(
-            "pass either telemetry= or profiler=, not both: a telemetry "
-            "session installs its own profiler")
     wall_start = perf_counter()
-    sim = Simulator()
-    streams = RandomStreams(params.seed)
-    collector = Collector()
     system = DistributedSystem(
         params=params, controllers=controllers,
-        maturity_rule=maturity_rule, collector=collector,
-        sim=sim, streams=streams, deadlock_strategy=deadlock_strategy,
+        maturity_rule=maturity_rule, deadlock_strategy=deadlock_strategy,
         admission_order=admission_order, fault_plan=fault_plan)
     if telemetry is not None:
         telemetry.install_distributed(system)
-    if profiler is not None:
-        sim.profiler = profiler
+    check_end = None
     if verify is not None:
         # Lazy import: repro.verify pulls in the golden-run machinery,
         # which drives runners — a top-level import would be circular.
-        from repro.verify.distributed import DistributedInvariantChecker
+        from repro.verify.distributed import (DistributedInvariantChecker,
+                                              check_quiesce)
         DistributedInvariantChecker(verify).attach(system)
+        # Quiesce-time sweep: with every site up, nothing may remain in
+        # doubt forever.
+        check_end = functools.partial(check_quiesce, system)
     if fault_schedule is not None:
         fault_schedule.install(system)
-    system.start()
-
-    sim.run(until=params.warmup_time)
-    snapshots = [collector.snapshot(sim.now)]
-    aborts_at_start = collector.aborts
-    reasons_at_start = dict(collector.aborts_by_reason)
-    for batch in range(1, params.num_batches + 1):
-        sim.run(until=params.warmup_time + batch * params.batch_time)
-        snapshots.append(collector.snapshot(sim.now))
-
-    window_reasons = {
-        reason: count - reasons_at_start.get(reason, 0)
-        for reason, count in collector.aborts_by_reason.items()
-    }
-    results = build_results(
-        snapshots=snapshots,
-        controller_name=controllers.name,
-        workload_name=system.workload.name,
-        commits=collector.commits,
-        aborts=collector.aborts - aborts_at_start,
-        aborts_by_reason=window_reasons,
-        response_time_sum=collector.response_time_sum,
-        restarts_of_committed=collector.restarts_of_committed,
-        max_mpl=collector.active.max_value,
-        per_class=collector.per_class,
-    )
-    if verify is not None:
-        # Quiesce-time sweep: with every site up, nothing may remain
-        # in doubt forever.
-        from repro.verify.distributed import check_quiesce
-        check_quiesce(system)
-    if telemetry is not None:
-        telemetry.finalize(
-            params=params,
-            controller_name=controllers.name,
-            workload_name=system.workload.name,
-            sim_time=sim.now,
-            wall_time=perf_counter() - wall_start,
-            extra={"fault_plan": str(fault_plan)} if fault_plan else None,
-        )
-    return results
+    return measure(system, wall_start, telemetry=telemetry,
+                   profiler=profiler, check_end=check_end,
+                   extra={"fault_plan": str(fault_plan)} if fault_plan
+                   else None)

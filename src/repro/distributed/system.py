@@ -4,7 +4,8 @@ Model summary (extensions of the paper's Section 3 model; each choice
 is documented where it is implemented):
 
 * The database is range-partitioned across ``num_sites`` sites; every
-  site owns a CPU pool, a disk array, and a lock table for its pages.
+  site owns a CPU pool, a disk array, a ``buf_size``-page buffer pool
+  and a lock table for its pages.
 * A transaction is *homed* at its terminal's site.  It executes
   sequentially: for each page, a lock request at the owning site (a
   remote request pays ``msg_delay`` each way), then ``page_io`` +
@@ -23,14 +24,22 @@ is documented where it is implemented):
   ("load control deadlocks", Section 5) impossible — see
   :mod:`repro.distributed.controllers`.
 
+One lifecycle: :class:`DistributedSystem` is a
+:class:`repro.dbms.system.DBMSSystem` and runs its state machine, with
+a page→site table over the range partition.  It adds only what
+placement and transport change: the two seams (``_go_to_owner``,
+``_reply_home``), home-site controllers and trackers, the commit
+protocol, and the failure layer below.
+
 Simplifications versus a production distributed DBMS, all noted here:
 the network is pure delay (no bandwidth or queueing), abort/release
-messages for aborts are instantaneous, and the 2PC vote collection is
-collapsed into a single round-trip delay.
+messages for aborts are instantaneous, deferred-write acknowledgements
+are not modelled, and the 2PC vote collection is collapsed into a
+single round-trip delay.
 
 **Failure-realistic mode** (``params.failure_model`` or an installed
-:class:`repro.distributed.failures.SiteFaultPlan`) replaces those last
-two simplifications with the real machinery:
+:class:`repro.distributed.failures.SiteFaultPlan`) replaces the
+pure-delay transport and the collapsed commit with the real machinery:
 
 * remote page/write work becomes a reliable request/reply exchange
   over :class:`repro.distributed.network.Network` (loss, jitter,
@@ -60,17 +69,18 @@ timer reads the coordinator's durable decision record directly — an
 oracle stand-in for a recovery-time inquiry message.
 
 With the failure model off, every failure-path branch is skipped and
-the calendar the fast paths build is byte-identical to the pure-delay
-model above — the same zero-cost-off contract as telemetry and verify.
+the run's event calendar is byte-identical to the pure-delay model
+above — the same zero-cost-off contract as telemetry and verify.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.maturity import MaturityRule
 from repro.core.state_tracker import StateTracker
 from repro.dbms.ready_queue import ReadyQueue
+from repro.dbms.system import DBMSSystem, SiteWork, equip_site
 from repro.dbms.transaction import Transaction, TxnPhase
 from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import PerSiteControllerSet
@@ -80,46 +90,23 @@ from repro.distributed.partition import RangePartition
 from repro.distributed.workload import DistributedWorkload
 from repro.errors import (ConfigurationError, InvariantViolation,
                           SimulationError)
-from repro.lockmgr.deadlock import resolve_deadlocks
-from repro.lockmgr.lock_table import LockTable, RequestOutcome
-from repro.lockmgr.modes import LockMode
-from repro.lockmgr.prevention import (
-    DeadlockStrategy,
-    wait_die_should_die,
-    wound_wait_victims,
-)
+from repro.lockmgr.prevention import DeadlockStrategy
 from repro.metrics.collector import AbortReason, Collector
 from repro.sim.engine import Simulator
-from repro.sim.resources import CpuPool, DiskArray
 from repro.sim.rng import RandomStreams
 
 __all__ = ["DistributedSystem"]
 
 
 class _Site:
-    """One site's hardware and lock manager."""
+    """One site's hardware, buffer pool and lock manager."""
 
-    __slots__ = ("site_id", "cpu", "disks", "lock_table")
+    __slots__ = ("site_id", "cpu", "disks", "buffer", "lock_table")
 
     def __init__(self, site_id: int, sim: Simulator,
                  params: DistributedParameters):
         self.site_id = site_id
-        self.cpu = CpuPool(sim, params.num_cpus)
-        self.disks = DiskArray(sim, params.num_disks)
-        self.lock_table = LockTable()
-
-
-class _InDoubt:
-    """A prepared participant's record for one transaction: its locks
-    at this site are frozen until the coordinator's decision arrives
-    (or the presumed-abort timer resolves them)."""
-
-    __slots__ = ("txn", "coordinator", "since")
-
-    def __init__(self, txn: Transaction, coordinator: int, since: float):
-        self.txn = txn
-        self.coordinator = coordinator
-        self.since = since
+        equip_site(self, sim, params)
 
 
 class _TwoPC:
@@ -138,21 +125,23 @@ class _TwoPC:
 
 
 class _RemoteOp:
-    """One remote page/write visit in flight (failure mode only).
+    """One remote visit in flight (failure mode only): ``work`` runs at
+    the owning ``site``, ``resume`` at home once the reply arrives.
 
     Identity is the guard: retransmitted requests and late replies
     carry the op object itself, and handlers ignore anything that is
     not the transaction's *current* op."""
 
-    __slots__ = ("txn", "owner", "page", "kind", "call",
+    __slots__ = ("txn", "site", "page", "work", "resume", "call",
                  "started", "replied")
 
-    def __init__(self, txn: Transaction, owner: int, page: int,
-                 kind: str):
+    def __init__(self, txn: Transaction, site: _Site, page: int,
+                 work: SiteWork):
         self.txn = txn
-        self.owner = owner
+        self.site = site
         self.page = page
-        self.kind = kind                # "page" or "write"
+        self.work = work
+        self.resume: Optional[Callable[[Transaction], None]] = None
         self.call: ReliableCall = None  # type: ignore[assignment]
         self.started = False            # work began at the owner
         self.replied = False            # owner sent the reply
@@ -161,36 +150,98 @@ class _RemoteOp:
 class _GlobalLockView:
     """Union view over all site lock tables.
 
-    A transaction waits for at most one lock at one site, so every
-    query routes to the site recorded in the system's waiting map (or
-    scans all sites for holder-side questions).
+    A transaction waits for at most one lock: the one on its current
+    page, at that page's owning site.  Wait queries go there; holder
+    queries scan every site.
     """
 
-    def __init__(self, system: "DistributedSystem"):
-        self._system = system
+    def __init__(self, sites: List[_Site], site_of: List[_Site]):
+        self._sites = sites
+        self._site_of = site_of
+
+    def waiting_site(self, txn: Transaction) -> Optional[_Site]:
+        """The site where ``txn`` waits for a lock, or None."""
+        readset = txn.readset
+        if txn.step_index < len(readset):
+            site = self._site_of[readset[txn.step_index]]
+            if site.lock_table.is_waiting(txn):
+                return site
+        return None
 
     def is_waiting(self, txn: Transaction) -> bool:
-        return txn in self._system.waiting_site
+        return self.waiting_site(txn) is not None
 
     def blocking_order(self, txn: Transaction) -> List[Transaction]:
-        site = self._system.waiting_site.get(txn)
+        site = self.waiting_site(txn)
         if site is None:
             return []
-        return self._system.sites[site].lock_table.blocking_order(txn)
-
-    def blocking_set(self, txn: Transaction):
-        site = self._system.waiting_site.get(txn)
-        if site is None:
-            return set()
-        return self._system.sites[site].lock_table.blocking_set(txn)
+        return site.lock_table.blocking_order(txn)
 
     def is_blocking_others(self, txn: Transaction) -> bool:
         return any(site.lock_table.is_blocking_others(txn)
-                   for site in self._system.sites)
+                   for site in self._sites)
 
     def num_held(self, txn: Transaction) -> int:
-        return sum(site.lock_table.num_held(txn)
-                   for site in self._system.sites)
+        return sum(site.lock_table.num_held(txn) for site in self._sites)
+
+    def check_invariants(self) -> None:
+        for site in self._sites:
+            site.lock_table.check_invariants()
+
+
+class _ClusterTracker(StateTracker):
+    """The cluster-wide tracker, which feeds the collector.  Each
+    transition also moves the transaction in its home site's tracker,
+    which that site's controller reads."""
+
+    def __init__(self, collector: Collector,
+                 by_terminal: List[StateTracker]):
+        super().__init__(collector)
+        self._by_terminal = by_terminal     # home tracker per terminal
+
+    def add(self, txn: Transaction, now: float) -> None:
+        super().add(txn, now)
+        self._by_terminal[txn.terminal_id].add(txn, now)
+
+    def remove(self, txn: Transaction, now: float) -> None:
+        self._by_terminal[txn.terminal_id].remove(txn, now)
+        super().remove(txn, now)
+
+    def set_blocked(self, txn: Transaction, blocked: bool,
+                    now: float) -> None:
+        self._require_active(txn, now)
+        if txn.is_blocked == blocked:
+            return
+        self._bucket_delta(txn, -1)
+        # The home tracker moves its own buckets and flips the flag.
+        self._by_terminal[txn.terminal_id].set_blocked(txn, blocked, now)
+        self._bucket_delta(txn, +1)
+        self._publish(now)
+
+    def set_mature(self, txn: Transaction, now: float) -> None:
+        self._require_active(txn, now)
+        if txn.is_mature:
+            return
+        self._bucket_delta(txn, -1)
+        self._by_terminal[txn.terminal_id].set_mature(txn, now)
+        self._bucket_delta(txn, +1)
+        self._publish(now)
+
+
+class _ClusterReadyQueue:
+    """The home sites' ready queues as one: a push goes to the
+    transaction's home queue, the length is the cluster total."""
+
+    def __init__(self, by_terminal: List[ReadyQueue],
+                 queues: List[ReadyQueue]):
+        self._by_terminal = by_terminal     # home queue per terminal
+        self._queues = queues
+
+    def push(self, txn: Transaction) -> None:
+        self._by_terminal[txn.terminal_id].push(txn)
+
+    def __len__(self) -> int:
+        return sum(len(queue) for queue in self._queues)
 
 
 class _SiteView:
@@ -211,26 +262,17 @@ class _SiteView:
         self.streams = system.streams
 
     def try_admit_one(self) -> bool:
-        if self._system.failure_mode and not self._system._admission_open(
+        system = self._system
+        if system.failure_mode and not system._admission_open(
                 self.site_id):
             return False
-        if self._system.admission_order is not None:
-            txn = self.ready_queue.pop_best(self._system.admission_order)
-        else:
-            txn = self.ready_queue.pop()
-        if txn is None:
-            return False
-        self._system.collector.set_ready_queue_length(
-            self._system.sim.now,
-            sum(len(v.ready_queue) for v in self._system.site_views))
-        self._system._admit(txn)
-        return True
+        return system._admit_from(self.ready_queue)
 
     def abort_transaction(self, txn: Transaction, reason: str) -> None:
         self._system.abort_transaction(txn, reason)
 
 
-class DistributedSystem:
+class DistributedSystem(DBMSSystem):
     """A complete multi-site simulated DBMS instance for one run."""
 
     def __init__(self,
@@ -249,44 +291,26 @@ class DistributedSystem:
             raise ConfigurationError(
                 f"{len(controllers)} controllers for "
                 f"{params.num_sites} sites")
-        self.params = params
-        self.sim = sim if sim is not None else Simulator()
-        self.streams = (streams if streams is not None
-                        else RandomStreams(params.seed))
-        self.collector = collector if collector is not None else Collector()
+        streams = (streams if streams is not None
+                   else RandomStreams(params.seed))
         self.partition = RangePartition(params.db_size, params.num_sites)
-        self.sites = [_Site(i, self.sim, params)
-                      for i in range(params.num_sites)]
-        self.global_locks = _GlobalLockView(self)
-        # Global tracker feeds the collector; per-site trackers feed the
-        # per-site controllers.  Both are updated in lockstep.
-        self.tracker = StateTracker(self.collector)
-        self.maturity_rule = (maturity_rule if maturity_rule is not None
-                              else MaturityRule())
-        self.deadlock_strategy = deadlock_strategy
-        self.admission_order = admission_order
-        self.workload = (workload if workload is not None
-                         else DistributedWorkload(self.streams, params,
-                                                  self.partition))
+        if workload is None:
+            workload = DistributedWorkload(streams, params, self.partition)
+        # Each terminal's home site, where its transactions are homed.
+        self.terminal_home = [workload.home_site_of_terminal(t)
+                              for t in range(params.num_terms)]
         self.controllers = controllers
-        self.site_views = [_SiteView(self, i)
-                           for i in range(params.num_sites)]
-        for view, controller in zip(self.site_views,
-                                    controllers.controllers):
-            controller.attach(view)
-        # txn -> site where its lock request is waiting.
-        self.waiting_site: Dict[Transaction, int] = {}
-        self._home: Dict[Transaction, int] = {}
-        self._disk_rng = self.streams.stream("disk_choice")
-        self._next_txn_id = 0
-        self._started = False
-        self.total_generated = 0
+        self.failure_mode = params.failure_model or bool(fault_plan)
+        super().__init__(params, controllers, workload=workload,
+                         maturity_rule=maturity_rule, collector=collector,
+                         sim=sim, streams=streams,
+                         admission_order=admission_order,
+                         deadlock_strategy=deadlock_strategy)
         self.remote_accesses = 0
         self.local_accesses = 0
         # Cumulative commits by home site (per-site telemetry series).
         self.site_commits = [0] * params.num_sites
         # ---- failure-realistic layer (zero-cost when off) ----
-        self.failure_mode = params.failure_model or bool(fault_plan)
         self.fault_plan = fault_plan
         self.decision_log = None        # installed by telemetry
         self._site_up = [True] * params.num_sites
@@ -295,10 +319,12 @@ class DistributedSystem:
         self._last_heard = [[0.0] * params.num_sites
                             for _ in range(params.num_sites)]
         self.network = Network(self.sim, self.streams, params,
-                               self.failure_mode, self._is_site_up,
+                               self.failure_mode, self._site_up.__getitem__,
                                self._note_heard)
-        # Per-site prepared-participant records: txn_id -> _InDoubt.
-        self._indoubt: List[Dict[int, _InDoubt]] = [
+        # Per-site prepared participants: txn_id -> the transaction
+        # whose locks there stay frozen until the coordinator's decision
+        # arrives (or the presumed-abort timer resolves them).
+        self._indoubt: List[Dict[int, Transaction]] = [
             {} for _ in range(params.num_sites)]
         self._twopc: Dict[Transaction, _TwoPC] = {}
         # Coordinator's "durable log": txn_id -> "commit"/"abort".  An
@@ -316,366 +342,171 @@ class DistributedSystem:
         # Work parked while its home site is down, replayed at recovery.
         self._parked_txns: Dict[int, List[Transaction]] = {}
         self._parked_terminals: Dict[int, List[int]] = {}
+        if self.failure_mode:
+            self._work_guard = self._work_is_current
         if fault_plan:
             fault_plan.install(self)
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
+    def _build_sites(self) -> None:
+        params = self.params
+        self.sites = [_Site(i, self.sim, params)
+                      for i in range(params.num_sites)]
+        self._site_of = [self.sites[self.partition.site_of(page)]
+                         for page in range(params.db_size)]
+        # Deadlock handling and controller victim queries see the union.
+        self.lock_table = self.global_locks = _GlobalLockView(
+            self.sites, self._site_of)
+        self.site_views = [_SiteView(self, i)
+                           for i in range(params.num_sites)]
+        views = [self.site_views[home] for home in self.terminal_home]
+        self.tracker = _ClusterTracker(
+            self.collector, [view.tracker for view in views])
+        self.ready_queue = _ClusterReadyQueue(
+            [view.ready_queue for view in views],
+            [view.ready_queue for view in self.site_views])
 
     def home_of(self, txn: Transaction) -> int:
-        return self._home[txn]
-
-    def _controller_of(self, txn: Transaction):
-        return self.controllers.for_site(self._home[txn])
-
-    def _view_of(self, txn: Transaction) -> _SiteView:
-        return self.site_views[self._home[txn]]
-
-    @staticmethod
-    def _age_key(txn: Transaction):
-        return (txn.timestamp, txn.txn_id)
+        return self.terminal_home[txn.terminal_id]
 
     # ------------------------------------------------------------------
-    # Startup and arrivals
+    # Startup and arrivals (failure mode: dark sites park their work)
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        if self._started:
-            raise SimulationError("DistributedSystem.start() called twice")
-        self._started = True
-        for terminal_id in range(self.params.num_terms):
-            delay = self.streams.exponential("think_time",
-                                             self.params.think_time)
-            self.sim.schedule(delay, self._terminal_submits, terminal_id)
+        """Schedule the first arrivals (and, in failure mode, beats)."""
+        super().start()
         if self.failure_mode:
             for site_id in range(self.params.num_sites):
-                self.sim.schedule(self.params.heartbeat_interval,
-                                  self._heartbeat, site_id)
+                self.sim.post(self.params.heartbeat_interval,
+                              self._heartbeat, site_id)
 
     def _terminal_submits(self, terminal_id: int) -> None:
-        if self.failure_mode:
-            home = self.workload.home_site_of_terminal(terminal_id)
-            if not self._site_up[home]:
-                # The terminal's site is dark: nothing to submit to.
-                # Parked before the transaction is generated, so the
-                # workload stream is not consumed for it.
-                self._parked_terminals.setdefault(home, []).append(
-                    terminal_id)
-                return
-        txn = self.workload.make_transaction(
-            self._next_txn_id, terminal_id, self.sim.now)
-        self._next_txn_id += 1
-        self.total_generated += 1
-        txn.estimated_locks = max(
-            1, round(txn.total_lock_requests()
-                     * self.params.estimate_error))
-        txn.maturity_threshold = self.maturity_rule.threshold(
-            txn.estimated_locks)
-        self._home[txn] = self.workload.home_site_of_terminal(terminal_id)
-        self._arrival(txn)
+        home = self.terminal_home[terminal_id]
+        if self.failure_mode and not self._site_up[home]:
+            # The terminal's site is dark: nothing to submit to.
+            # Parked before the transaction is generated, so the
+            # workload stream is not consumed for it.
+            self._parked_terminals.setdefault(home, []).append(
+                terminal_id)
+            return
+        super()._terminal_submits(terminal_id)
 
     def _arrival(self, txn: Transaction) -> None:
-        view = self._view_of(txn)
         if self.failure_mode:
-            home = self._home[txn]
+            home = self.home_of(txn)
             if not self._site_up[home]:
                 self._parked_txns.setdefault(home, []).append(txn)
                 return
             if not self._admission_open(home):
                 # Safe-mode clamp: queue without consulting the
                 # controller; drained (re-presented) at DEGRADED_EXIT.
-                view.ready_queue.push(txn)
+                self.ready_queue.push(txn)
                 self.collector.set_ready_queue_length(
-                    self.sim.now, sum(len(v.ready_queue)
-                                      for v in self.site_views))
+                    self.sim.now, len(self.ready_queue))
                 return
-        if self._controller_of(txn).want_admit(txn):
-            self._admit(txn)
-        else:
-            view.ready_queue.push(txn)
-            self.collector.set_ready_queue_length(
-                self.sim.now, sum(len(v.ready_queue)
-                                  for v in self.site_views))
-
-    def _admit(self, txn: Transaction) -> None:
-        txn.phase = TxnPhase.EXECUTING
-        txn.admitted_at = self.sim.now
-        self._track_add(txn)
-        self.collector.on_admission()
-        self._controller_of(txn).on_admit(txn)
-        self.sim.schedule(0.0, self._next_operation, txn)
+        super()._arrival(txn)
 
     # ------------------------------------------------------------------
-    # Dual tracker bookkeeping
+    # Transport seams
     # ------------------------------------------------------------------
 
-    def _track_add(self, txn: Transaction) -> None:
-        self.tracker.add(txn, self.sim.now)
-        # add() resets the flags; the second add must not re-reset state
-        # between the calls, so mirror manually.
-        view = self._view_of(txn)
-        view.tracker._active.add(txn)
-        view.tracker.n_active += 1
-        view.tracker.n_state2 += 1
-
-    def _track_remove(self, txn: Transaction) -> None:
-        view = self._view_of(txn)
-        view.tracker.remove(txn, self.sim.now)
-        self.tracker.remove(txn, self.sim.now)
-
-    def _track_blocked(self, txn: Transaction, blocked: bool) -> None:
-        if txn.is_blocked == blocked:
-            return
-        view = self._view_of(txn)
-        # Order matters: the global tracker flips the flag; the site
-        # tracker adjusts its buckets around the same flag, so flip via
-        # the site tracker first (it checks the current flag).
-        view.tracker.set_blocked(txn, blocked, self.sim.now)
-        txn.is_blocked = not blocked      # restore for the global pass
-        self.tracker.set_blocked(txn, blocked, self.sim.now)
-
-    def _track_mature(self, txn: Transaction) -> None:
-        if txn.is_mature:
-            return
-        view = self._view_of(txn)
-        view.tracker.set_mature(txn, self.sim.now)
-        txn.is_mature = False             # restore for the global pass
-        self.tracker.set_mature(txn, self.sim.now)
-
-    # ------------------------------------------------------------------
-    # Execution state machine
-    # ------------------------------------------------------------------
-
-    def _check_failed(self, txn: Transaction) -> bool:
-        """Checkpoint: abort a doomed (site crash) or wounded txn.
-
-        Doomed wins over wounded — the crash already sealed its fate.
-        Always False on the fast path (``doomed`` stays None with the
-        failure model off)."""
-        if txn.doomed is not None:
-            self.abort_transaction(txn, txn.doomed)
-            return True
-        if txn.wounded:
-            self.abort_transaction(txn, AbortReason.WOUND_WAIT)
-            return True
-        return False
-
-    def _next_operation(self, txn: Transaction) -> None:
-        if self._check_failed(txn):
-            return
-        if txn.finished_reading():
-            txn.pending_updates = [p for p in txn.readset
-                                   if p in txn.writeset]
-            txn.phase = TxnPhase.UPDATING
-            self._next_deferred_write(txn)
-            return
-        page = txn.current_page()
-        owner = self.partition.site_of(page)
-        home = self._home[txn]
-        if owner != home:
-            self.remote_accesses += 1
-            if self.failure_mode:
-                self._begin_remote_op(txn, page, owner, "page")
-                return
-            delay = self.params.msg_delay
-            if delay > 0.0:
-                self.sim.schedule(delay, self._request_lock_at, txn,
-                                  page, owner, False)
+    def _go_to_owner(self, txn: Transaction, page: int, site: _Site,
+                     work: SiteWork) -> None:
+        home = self.terminal_home[txn.terminal_id]
+        remote = site.site_id != home
+        if txn.phase is TxnPhase.EXECUTING:
+            # Readset pages count as accesses; deferred writes do not.
+            if remote:
+                self.remote_accesses += 1
             else:
-                self._request_lock_at(txn, page, owner, False)
-            return
-        self.local_accesses += 1
-        self._request_lock_at(txn, page, owner, False)
-
-    def _request_lock_at(self, txn: Transaction, page: int, owner: int,
-                         upgrade: bool) -> None:
-        if self._check_failed(txn):
-            return
-        table = self.sites[owner].lock_table
-        mode = LockMode.X if upgrade else LockMode.S
-        if not self.params.locking_enabled:
-            self._lock_granted_at(txn, owner, upgrade)
-            return
-        outcome = table.request(txn, page, mode)
-        if outcome is RequestOutcome.GRANTED:
-            self._lock_granted_at(txn, owner, upgrade)
-            return
-        self.waiting_site[txn] = owner
-        if self.deadlock_strategy is DeadlockStrategy.WAIT_DIE:
-            if wait_die_should_die(self.global_locks, txn, self._age_key):
-                self._cancel_wait(txn)
-                self.abort_transaction(txn, AbortReason.WAIT_DIE)
-                return
-        elif self.deadlock_strategy is DeadlockStrategy.WOUND_WAIT:
-            for victim in wound_wait_victims(self.global_locks, txn,
-                                             self._age_key):
-                self._wound(victim)
+                self.local_accesses += 1
+        if remote and self.failure_mode:
+            self._begin_remote_op(txn, page, site, work)
         else:
-            resolve_deadlocks(self.global_locks, txn,
-                              timestamp=self._age_key,
-                              abort=lambda v: self.abort_transaction(
-                                  v, AbortReason.DEADLOCK))
-        if txn not in self.waiting_site:
-            return        # granted via a victim's release, or aborted
-        self._track_blocked(txn, True)
-        self._controller_of(txn).on_block(txn)
+            self.network.send(home, site.site_id, work, txn, page, site)
 
-    def _wound(self, victim: Transaction) -> None:
-        if victim.phase is TxnPhase.UPDATING or victim.wounded:
-            return
-        if victim in self.waiting_site:
-            self.abort_transaction(victim, AbortReason.WOUND_WAIT)
+    def _reply_home(self, txn: Transaction, site: _Site,
+                    next_step: Callable[[Transaction], None]) -> None:
+        home = self.terminal_home[txn.terminal_id]
+        if site.site_id == home:
+            next_step(txn)
+        elif self.failure_mode:
+            op = self._inflight[txn]
+            op.replied = True
+            op.resume = next_step
+            self._send_reply(op)
+        elif txn.phase is TxnPhase.UPDATING:
+            # A deferred write's acknowledgement is not modelled on the
+            # pure-delay network: home issues the next write at once.
+            next_step(txn)
         else:
-            victim.wounded = True
-
-    def _cancel_wait(self, txn: Transaction) -> None:
-        site = self.waiting_site.pop(txn, None)
-        if site is not None:
-            grants = self.sites[site].lock_table.cancel_wait(txn)
-            self._process_grants(site, grants)
-
-    def _process_grants(self, site: int, grants) -> None:
-        for grant in grants:
-            self.waiting_site.pop(grant.txn, None)
-            self._lock_granted_at(grant.txn, site, grant.was_upgrade)
-
-    def _lock_granted_at(self, txn: Transaction, owner: int,
-                         was_upgrade: bool) -> None:
-        if txn.is_blocked:
-            self._track_blocked(txn, False)
-            self._controller_of(txn).on_unblock(txn)
-        txn.locks_completed += 1
-        if (not txn.is_mature
-                and txn.locks_completed >= txn.maturity_threshold):
-            self._track_mature(txn)
-        self._controller_of(txn).on_lock_granted(txn)
-        if was_upgrade:
-            self.sites[owner].cpu.request(
-                self.params.page_cpu, self._write_cpu_done, txn, owner)
-        else:
-            self._start_page_read(txn, owner)
-
-    def _start_page_read(self, txn: Transaction, owner: int) -> None:
-        site = self.sites[owner]
-        disk = site.disks.choose_disk(self._disk_rng)
-        site.disks.access(disk, self.params.page_io,
-                          self._page_io_done, txn, owner)
-
-    def _page_io_done(self, txn: Transaction, owner: int) -> None:
-        self.sites[owner].cpu.request(self.params.page_cpu,
-                                      self._page_read_done, txn, owner)
-
-    def _page_read_done(self, txn: Transaction, owner: int) -> None:
-        if self.failure_mode and not self._work_is_current(txn, owner):
-            return          # stale continuation of an aborted visit
-        txn.attempt_reads += 1
-        self.collector.on_page_read()
-        if self._check_failed(txn):
-            return
-        page = txn.current_page()
-        if page in txn.writeset:
-            if self.params.locking_enabled:
-                self._request_lock_at(txn, page, owner, True)
-            else:
-                self.sites[owner].cpu.request(
-                    self.params.page_cpu, self._write_cpu_done, txn,
-                    owner)
-            return
-        txn.step_index += 1
-        if self.failure_mode and owner != self._home[txn]:
-            self._finish_remote_op(txn)
-            return
-        # The reply travels back to the home site before the next
-        # operation is issued from there.
-        reply_delay = (self.params.msg_delay
-                       if owner != self._home[txn] else 0.0)
-        if reply_delay > 0.0:
-            self.sim.schedule(reply_delay, self._next_operation, txn)
-        else:
-            self._next_operation(txn)
-
-    def _write_cpu_done(self, txn: Transaction, owner: int) -> None:
-        if self.failure_mode and not self._work_is_current(txn, owner):
-            return
-        if self._check_failed(txn):
-            return
-        txn.step_index += 1
-        if self.failure_mode and owner != self._home[txn]:
-            self._finish_remote_op(txn)
-            return
-        reply_delay = (self.params.msg_delay
-                       if owner != self._home[txn] else 0.0)
-        if reply_delay > 0.0:
-            self.sim.schedule(reply_delay, self._next_operation, txn)
-        else:
-            self._next_operation(txn)
+            self.network.send(site.site_id, home, next_step, txn)
 
     # ------------------------------------------------------------------
-    # Deferred updates and distributed commit
+    # Distributed commit and lock release
     # ------------------------------------------------------------------
 
-    def _next_deferred_write(self, txn: Transaction) -> None:
-        if self.failure_mode and self._check_failed(txn):
-            return
-        if not txn.pending_updates:
-            self._prepare_commit(txn)
-            return
-        page = txn.pending_updates.pop()
-        owner = self.partition.site_of(page)
-        if self.failure_mode and owner != self._home[txn]:
-            self._begin_remote_op(txn, page, owner, "write")
-            return
-        delay = (self.params.msg_delay
-                 if owner != self._home[txn] else 0.0)
-        if delay > 0.0:
-            self.sim.schedule(delay, self._deferred_write_at, txn, owner)
-        else:
-            self._deferred_write_at(txn, owner)
-
-    def _deferred_write_at(self, txn: Transaction, owner: int) -> None:
-        site = self.sites[owner]
-        disk = site.disks.choose_disk(self._disk_rng)
-        site.disks.access(disk, self.params.page_io,
-                          self._deferred_write_done, txn, owner)
-
-    def _deferred_write_done(self, txn: Transaction, owner: int) -> None:
-        if self.failure_mode and not self._work_is_current(txn, owner):
-            return
-        txn.attempt_writes += 1
-        self.collector.on_page_written()
-        if self.failure_mode:
-            if self._check_failed(txn):
-                return
-            if owner != self._home[txn]:
-                self._finish_remote_op(txn)
-                return
-        self._next_deferred_write(txn)
-
-    def _touched_sites(self, txn: Transaction) -> List[int]:
-        sites = []
-        for site in self.sites:
-            if site.lock_table.held_pages(txn):
-                sites.append(site.site_id)
-        return sites
-
-    def _prepare_commit(self, txn: Transaction) -> None:
-        touched = self._touched_sites(txn)
-        home = self._home[txn]
-        remote = [s for s in touched if s != home]
+    def _commit(self, txn: Transaction) -> None:
+        """Commit, after a prepare round if other sites hold locks."""
+        # Read-only transactions too: wound-wait spares them from here.
+        txn.phase = TxnPhase.UPDATING
+        home = self.home_of(txn)
+        remote = [site.site_id for site in self.sites
+                  if site.site_id != home
+                  and site.lock_table.num_held(txn)]
         if remote and self.failure_mode:
             # Real 2PC, always — regardless of ``two_phase_commit``:
             # the collapsed round-trip cannot express in-doubt
             # blocking, which is the point of the failure model.
             self._begin_two_pc(txn, home, remote)
-            return
-        if remote and self.params.two_phase_commit:
+        elif remote and self.params.two_phase_commit:
             # Prepare round: one round trip to the farthest participant
             # (messages travel in parallel).
-            self.sim.schedule(2.0 * self.params.msg_delay,
-                              self._commit, txn, touched)
+            self.sim.post(2.0 * self.params.msg_delay,
+                          self._commit_point, txn)
         else:
-            self._commit(txn, touched)
+            self._commit_point(txn)
+
+    def _commit_point(self, txn: Transaction) -> None:
+        self.site_commits[self.home_of(txn)] += 1
+        super()._commit(txn)
+
+    def _release_locks(self, txn: Transaction) -> None:
+        if txn.phase is TxnPhase.COMMITTED:
+            home = self.home_of(txn)
+            if self.failure_mode:
+                # Home locks release now; a prepared participant's when
+                # the decision reaches it.
+                self._release_at(txn, home)
+                self._send_decisions(txn)
+                return
+            for site in self.sites:
+                if not site.lock_table.num_held(txn):
+                    continue
+                if site.site_id == home:
+                    self._release_at(txn, home)
+                else:
+                    # The commit decision travels to the participant.
+                    self.sim.post(self.params.msg_delay,
+                                  self._release_at, txn, site.site_id)
+            return
+        # Abort: cancel the wait, then release every site's locks but a
+        # prepared participant's, which stay frozen until the decision
+        # (or presumed abort) resolves them.
+        site = self.global_locks.waiting_site(txn)
+        if site is not None:
+            self._process_grants(site.lock_table.cancel_wait(txn), site)
+        for site in self.sites:
+            if self.failure_mode and txn.txn_id in self._indoubt[
+                    site.site_id]:
+                continue
+            if site.lock_table.num_held(txn):
+                self._process_grants(site.lock_table.release_all(txn),
+                                     site)
+
+    def _release_at(self, txn: Transaction, site_id: int) -> None:
+        site = self.sites[site_id]
+        self._process_grants(site.lock_table.release_all(txn), site)
 
     # ------------------------------------------------------------------
     # Real 2PC (failure mode)
@@ -686,21 +517,25 @@ class DistributedSystem:
         rec = _TwoPC(remote, gen=txn.restarts)
         self._twopc[txn] = rec
         for p in remote:
-            rec.calls[p] = self.network.call(
-                home, p, self._prepare_at, txn, p, rec.gen,
-                on_fail=lambda p=p: self._prepare_failed(txn, p))
+            self._send_prepare(txn, home, p, rec)
+
+    def _send_prepare(self, txn: Transaction, home: int, p: int,
+                      rec: _TwoPC) -> None:
+        rec.calls[p] = self.network.call(
+            home, p, self._prepare_at, txn, p, rec.gen,
+            on_fail=lambda: self._prepare_failed(txn, p))
 
     def _prepare_at(self, txn: Transaction, p: int, gen: int) -> None:
         """PREPARE arrives at participant ``p`` (idempotent)."""
         rec = self._twopc.get(txn)
         if rec is None or rec.gen != gen:
             return              # stale: the attempt was already decided
-        home = self._home[txn]
+        home = self.home_of(txn)
         if txn.txn_id in self._indoubt[p]:
             # Duplicate prepare: the vote was lost; vote again.
             self.network.send(p, home, self._vote_at, txn, p, gen)
             return
-        self._indoubt[p][txn.txn_id] = _InDoubt(txn, home, self.sim.now)
+        self._indoubt[p][txn.txn_id] = txn
         self._log_site_event(p, "indoubt_hold", txn_id=txn.txn_id)
         self.sim.schedule(self.params.indoubt_timeout,
                           self._indoubt_timer, p, txn.txn_id)
@@ -723,14 +558,12 @@ class DistributedSystem:
         rec = self._twopc.get(txn)
         if rec is None:
             return
-        home = self._home[txn]
+        home = self.home_of(txn)
         if self._reachable(home, p):
             # The participant is reachable (the votes were lost or the
             # site is merely slow): keep asking rather than aborting a
             # finished transaction's work.
-            rec.calls[p] = self.network.call(
-                home, p, self._prepare_at, txn, p, rec.gen,
-                on_fail=lambda: self._prepare_failed(txn, p))
+            self._send_prepare(txn, home, p, rec)
             return
         self._decide(txn, "abort")
 
@@ -750,40 +583,19 @@ class DistributedSystem:
             self.decision_record[txn.txn_id] = decision
             self._decision_waiters[txn.txn_id] = waiters
         if decision == "commit":
-            self._commit_2pc(txn, rec)
+            self._commit_point(txn)
         else:
-            home = self._home[txn]
-            for p in rec.participants:
-                if txn.txn_id in self._indoubt[p]:
-                    # Best-effort notification; the timer is the
-                    # guaranteed fallback.
-                    self.network.send(home, p, self._decision_at,
-                                      p, txn.txn_id)
+            self._send_decisions(txn)
             self.abort_transaction(txn, AbortReason.REMOTE_TIMEOUT)
 
-    def _commit_2pc(self, txn: Transaction, rec: _TwoPC) -> None:
-        """Mirror of :meth:`_commit` for a 2PC transaction: home locks
-        release now, participant locks when the decision reaches them."""
-        home = self._home[txn]
-        self._track_remove(txn)
-        txn.phase = TxnPhase.COMMITTED
-        self.site_commits[home] += 1
-        self.collector.on_commit(
-            pages=txn.attempt_reads + txn.attempt_writes,
-            response_time=self.sim.now - txn.timestamp,
-            restarts=txn.restarts, class_name=txn.class_name)
-        self._release_at(txn, home)
-        for p in rec.participants:
-            if txn.txn_id in self._indoubt[p]:
+    def _send_decisions(self, txn: Transaction) -> None:
+        # Best-effort notification of every prepared participant; the
+        # in-doubt timer is the guaranteed fallback.
+        home = self.home_of(txn)
+        for p, indoubt in enumerate(self._indoubt):
+            if txn.txn_id in indoubt:
                 self.network.send(home, p, self._decision_at,
                                   p, txn.txn_id)
-        controller = self.controllers.for_site(home)
-        controller.on_commit(txn)
-        controller.on_removed(txn)
-        self._home.pop(txn, None)
-        delay = self.streams.exponential("think_time",
-                                         self.params.think_time)
-        self.sim.schedule(delay, self._terminal_submits, txn.terminal_id)
 
     def _decision_at(self, p: int, txn_id: int) -> None:
         """A decision message arrives at a prepared participant."""
@@ -792,11 +604,10 @@ class DistributedSystem:
 
     def _resolve_indoubt_entry(self, p: int, txn_id: int,
                                decision: str, source: str) -> None:
-        rec = self._indoubt[p].pop(txn_id, None)
-        if rec is None:
+        txn = self._indoubt[p].pop(txn_id, None)
+        if txn is None:
             return              # duplicate decision / already resolved
-        grants = self.sites[p].lock_table.release_all(rec.txn)
-        self._process_grants(p, grants)
+        self._release_at(txn, p)
         self._log_site_event(p, "indoubt_resolved", txn_id=txn_id,
                              detail=f"{decision} via {source}")
         waiters = self._decision_waiters.get(txn_id)
@@ -807,12 +618,12 @@ class DistributedSystem:
             else:
                 self._decision_waiters[txn_id] = waiters - 1
         if decision == "abort":
-            sites_left = self._limbo.get(rec.txn)
+            sites_left = self._limbo.get(txn)
             if sites_left is not None:
                 sites_left.discard(p)
                 if not sites_left:
-                    del self._limbo[rec.txn]
-                    self._schedule_restart(rec.txn)
+                    del self._limbo[txn]
+                    self._schedule_restart(txn)
 
     def _indoubt_timer(self, p: int, txn_id: int) -> None:
         """Periodic in-doubt resolution check at participant ``p``.
@@ -822,17 +633,15 @@ class DistributedSystem:
         abort only once the coordinator demonstrably holds no volatile
         state for the attempt (its 2PC record is gone without a
         decision, i.e. it crashed before deciding)."""
-        rec = self._indoubt[p].get(txn_id)
-        if rec is None:
-            return
-        if not self._site_up[p]:
-            # A down site can act on nothing; recovery resolves its
-            # residual entries (or this timer does, after it).
-            self.sim.schedule(self.params.indoubt_timeout,
-                              self._indoubt_timer, p, txn_id)
+        txn = self._indoubt[p].get(txn_id)
+        if txn is None:
             return
         decision = self.decision_record.get(txn_id)
-        if decision is None and rec.txn in self._twopc:
+        if not self._site_up[p] or (decision is None
+                                    and txn in self._twopc):
+            # A down site can act on nothing (recovery resolves its
+            # residual entries, or this timer does, after it); a live,
+            # undecided coordinator is waited for.
             self.sim.schedule(self.params.indoubt_timeout,
                               self._indoubt_timer, p, txn_id)
             return
@@ -840,45 +649,20 @@ class DistributedSystem:
             p, txn_id, decision if decision is not None else "abort",
             "timer" if decision is not None else "presumed-abort")
 
-    def _commit(self, txn: Transaction, touched: List[int]) -> None:
-        home = self._home[txn]
-        self._track_remove(txn)
-        txn.phase = TxnPhase.COMMITTED
-        self.site_commits[home] += 1
-        self.collector.on_commit(
-            pages=txn.attempt_reads + txn.attempt_writes,
-            response_time=self.sim.now - txn.timestamp,
-            restarts=txn.restarts, class_name=txn.class_name)
-        for site_id in touched:
-            if site_id == home:
-                self._release_at(txn, site_id)
-            else:
-                # The commit decision travels to the participant.
-                self.sim.schedule(self.params.msg_delay,
-                                  self._release_at, txn, site_id)
-        controller = self.controllers.for_site(home)
-        controller.on_commit(txn)
-        controller.on_removed(txn)
-        self._home.pop(txn, None)
-        delay = self.streams.exponential("think_time",
-                                         self.params.think_time)
-        self.sim.schedule(delay, self._terminal_submits, txn.terminal_id)
-
-    def _release_at(self, txn: Transaction, site_id: int) -> None:
-        grants = self.sites[site_id].lock_table.release_all(txn)
-        self._process_grants(site_id, grants)
-
     # ------------------------------------------------------------------
     # Remote page/write exchanges (failure mode)
     # ------------------------------------------------------------------
 
-    def _begin_remote_op(self, txn: Transaction, page: int, owner: int,
-                         kind: str) -> None:
-        op = _RemoteOp(txn, owner, page, kind)
+    def _begin_remote_op(self, txn: Transaction, page: int, site: _Site,
+                         work: SiteWork) -> None:
+        op = _RemoteOp(txn, site, page, work)
         self._inflight[txn] = op
+        self._call_owner(op)
+
+    def _call_owner(self, op: _RemoteOp) -> None:
         op.call = self.network.call(
-            self._home[txn], owner, self._remote_op_request, op,
-            on_fail=lambda: self._remote_op_failed(op))
+            self.home_of(op.txn), op.site.site_id, self._remote_op_request,
+            op, on_fail=lambda: self._remote_op_failed(op))
 
     def _remote_op_request(self, op: _RemoteOp) -> None:
         """The request arrives at the owning site (idempotent)."""
@@ -890,19 +674,10 @@ class DistributedSystem:
         if op.started:
             return              # duplicate while work is in progress
         op.started = True
-        if op.kind == "page":
-            self._request_lock_at(op.txn, op.page, op.owner, False)
-        else:
-            self._deferred_write_at(op.txn, op.owner)
-
-    def _finish_remote_op(self, txn: Transaction) -> None:
-        """The visit's work completed at the owner; reply home."""
-        op = self._inflight[txn]
-        op.replied = True
-        self._send_reply(op)
+        op.work(op.txn, op.page, op.site)
 
     def _send_reply(self, op: _RemoteOp) -> None:
-        self.network.send(op.owner, self._home[op.txn],
+        self.network.send(op.site.site_id, self.home_of(op.txn),
                           self._remote_op_reply, op)
 
     def _remote_op_reply(self, op: _RemoteOp) -> None:
@@ -911,42 +686,33 @@ class DistributedSystem:
             return
         op.call.settle()
         del self._inflight[op.txn]
-        if op.kind == "page":
-            self._next_operation(op.txn)
-        else:
-            self._next_deferred_write(op.txn)
+        op.resume(op.txn)
 
     def _remote_op_failed(self, op: _RemoteOp) -> None:
         """The exchange ran out of retries."""
         if self._inflight.get(op.txn) is not op:
             return
-        home = self._home[op.txn]
-        if self._reachable(home, op.owner):
+        if self._reachable(self.home_of(op.txn), op.site.site_id):
             # The owner is reachable — the work is simply outstanding
             # (a long lock wait, a deep disk queue, or lost replies).
             # Re-arm rather than abort: retransmitted requests are
             # absorbed by the idempotency guards above.
-            op.call = self.network.call(
-                home, op.owner, self._remote_op_request, op,
-                on_fail=lambda: self._remote_op_failed(op))
+            self._call_owner(op)
             return
         del self._inflight[op.txn]
         self.abort_transaction(
             op.txn, op.txn.doomed if op.txn.doomed is not None
             else AbortReason.REMOTE_TIMEOUT)
 
-    def _work_is_current(self, txn: Transaction, owner: int) -> bool:
-        """Is this completion callback the transaction's live work?
-
-        False for stale continuations — device work that finished after
-        the visit it belonged to was aborted."""
-        home = self._home.get(txn)
-        if home is None:
+    def _work_is_current(self, txn: Transaction, site: _Site) -> bool:
+        """Is this completion callback the transaction's live work?  Not
+        if its visit was torn down or the transaction committed."""
+        if txn.phase is TxnPhase.COMMITTED:
             return False
         op = self._inflight.get(txn)
-        if owner == home:
+        if site.site_id == self.terminal_home[txn.terminal_id]:
             return op is None
-        return (op is not None and op.owner == owner and op.started
+        return (op is not None and op.site is site and op.started
                 and not op.replied)
 
     # ------------------------------------------------------------------
@@ -954,15 +720,9 @@ class DistributedSystem:
     # ------------------------------------------------------------------
 
     def abort_transaction(self, txn: Transaction, reason: str) -> None:
-        if not self.tracker.is_active(txn):
-            raise SimulationError(
-                f"cannot abort {txn!r}: not an active transaction")
-        home = self._home[txn]
-        self._track_remove(txn)
-        txn.phase = TxnPhase.ABORTED
-        self.collector.on_abort(reason, class_name=txn.class_name)
-        self._cancel_wait(txn)
-        indoubt_sites: List[int] = []
+        """Abort ``txn`` (see :meth:`DBMSSystem.abort_transaction`).  In
+        failure mode its remote visit and 2PC attempt are settled first,
+        and its restart waits for its in-doubt locks."""
         if self.failure_mode:
             op = self._inflight.pop(txn, None)
             if op is not None:
@@ -971,46 +731,28 @@ class DistributedSystem:
             if rec is not None:
                 for call in rec.calls.values():
                     call.settle()
-            for site in self.sites:
-                if txn.txn_id in self._indoubt[site.site_id]:
-                    # Prepared participant locks are untouchable until
-                    # the decision (or presumed abort) resolves them.
-                    indoubt_sites.append(site.site_id)
-                    continue
-                if site.lock_table.held_pages(txn):
-                    grants = site.lock_table.release_all(txn)
-                    self._process_grants(site.site_id, grants)
-        else:
-            for site in self.sites:
-                if site.lock_table.held_pages(txn):
-                    grants = site.lock_table.release_all(txn)
-                    self._process_grants(site.site_id, grants)
-        controller = self.controllers.for_site(home)
-        controller.on_abort(txn, reason)
-        txn.reset_for_restart()
-        if indoubt_sites:
-            # Restart is deferred until every in-doubt entry resolves
-            # (see _resolve_indoubt_entry), so the next incarnation can
-            # never collide with this one's frozen locks.
-            self._limbo[txn] = set(indoubt_sites)
-        else:
-            self._schedule_restart(txn)
-        controller.on_removed(txn)
+        super().abort_transaction(txn, reason)
 
     def _schedule_restart(self, txn: Transaction) -> None:
-        if self.failure_mode and not self._site_up[self._home[txn]]:
-            self._parked_txns.setdefault(self._home[txn],
-                                         []).append(txn)
-            return
-        self.sim.schedule(self.params.effective_restart_delay,
-                          self._arrival, txn)
+        if self.failure_mode:
+            indoubt = {p for p, entries in enumerate(self._indoubt)
+                       if txn.txn_id in entries}
+            if indoubt:
+                # Restart is deferred until every in-doubt entry
+                # resolves (see _resolve_indoubt_entry), so the next
+                # incarnation can never collide with this one's frozen
+                # locks.
+                self._limbo[txn] = indoubt
+                return
+            home = self.home_of(txn)
+            if not self._site_up[home]:
+                self._parked_txns.setdefault(home, []).append(txn)
+                return
+        super()._schedule_restart(txn)
 
     # ------------------------------------------------------------------
     # Site liveness, crashes, recovery, degraded mode (failure mode)
     # ------------------------------------------------------------------
-
-    def _is_site_up(self, site: int) -> bool:
-        return self._site_up[site]
 
     def _reachable(self, a: int, b: int) -> bool:
         """Could a message from ``a`` reach ``b`` right now?
@@ -1068,14 +810,8 @@ class DistributedSystem:
             self._log_site_event(site, "degraded_exit")
             # Re-present the backlog: each queued transaction goes back
             # through _arrival so the controller rules on it normally.
-            view = self.site_views[site]
-            backlog = []
-            while True:
-                queued = view.ready_queue.pop()
-                if queued is None:
-                    break
-                backlog.append(queued)
-            for txn in backlog:
+            queue = self.site_views[site].ready_queue
+            for txn in list(iter(queue.pop, None)):
                 self._arrival(txn)
 
     def _partition_event(self, part, begin: bool) -> None:
@@ -1091,13 +827,13 @@ class DistributedSystem:
         self._site_up[site] = False
         self._log_site_event(site, "site_crash")
         indoubt_here = self._indoubt[site]
-        table = self.sites[site].lock_table
+        crashed = self.sites[site]
         active = sorted(self.tracker.active_transactions(),
                         key=lambda t: t.txn_id)
         # Pass 1: abort everything waiting at the crashed site, so the
         # lock releases of pass 2 cannot grant work to a dead site.
         for txn in active:
-            if self.waiting_site.get(txn) == site:
+            if self.global_locks.waiting_site(txn) is crashed:
                 self.abort_transaction(txn, AbortReason.SITE_CRASH)
         # Pass 2: holders and home transactions.
         for txn in active:
@@ -1105,25 +841,17 @@ class DistributedSystem:
                 continue        # aborted in pass 1
             if txn.txn_id in indoubt_here:
                 continue        # prepared: locks survive the crash
-            home = self._home[txn]
-            held_here = bool(table.held_pages(txn))
-            if home != site and not held_here:
+            held_here = bool(crashed.lock_table.num_held(txn))
+            if self.home_of(txn) != site and not held_here:
                 continue        # uninvolved (in-flight exchanges to
                 #                 this site time out on their own)
-            if txn in self._twopc:
+            if txn in self._twopc or self.global_locks.is_waiting(txn):
                 # A coordinator holds no volatile 2PC state across a
-                # crash of any site it depends on: tear the attempt
-                # down *without* a durable decision — participants
-                # presume abort.  (Its own crash is the canonical case;
-                # losing plain locks here forces the same abort.)
-                rec = self._twopc.pop(txn)
-                for call in rec.calls.values():
-                    call.settle()
-                self.abort_transaction(txn, AbortReason.SITE_CRASH)
-                continue
-            if txn in self.waiting_site:
-                # Waiting (at another site) with state lost here: no
-                # continuation is pending, so abort immediately.
+                # crash of any site it depends on: the attempt ends
+                # *without* a durable decision — participants presume
+                # abort.  (Its own crash is the canonical case; losing
+                # plain locks here forces the same abort.)  A waiter
+                # (at another site) has no continuation pending.
                 self.abort_transaction(txn, AbortReason.SITE_CRASH)
                 continue
             # Running somewhere: flag for abort at the next checkpoint
@@ -1131,8 +859,7 @@ class DistributedSystem:
             # locks vanish now.
             txn.doomed = AbortReason.SITE_CRASH
             if held_here:
-                grants = table.release_all(txn)
-                self._process_grants(site, grants)
+                self._release_at(txn, site)
 
     def _recover_site(self, site: int) -> None:
         if self._site_up[site]:
@@ -1146,10 +873,9 @@ class DistributedSystem:
         # Resolve residual in-doubt entries from the durable decision
         # record (recovery-time inquiry); entries whose coordinator is
         # alive but undecided stay held — their timer keeps checking.
-        for txn_id in sorted(self._indoubt[site]):
-            rec = self._indoubt[site][txn_id]
+        for txn_id, txn in sorted(self._indoubt[site].items()):
             decision = self.decision_record.get(txn_id)
-            if decision is None and rec.txn in self._twopc:
+            if decision is None and txn in self._twopc:
                 continue
             self._resolve_indoubt_entry(
                 site, txn_id,
@@ -1160,7 +886,7 @@ class DistributedSystem:
         # fire for them again, so abort them now.
         stuck = sorted(
             (txn for txn in self.tracker.active_transactions()
-             if self._home.get(txn) == site and txn.doomed is not None),
+             if self.home_of(txn) == site and txn.doomed is not None),
             key=lambda t: t.txn_id)
         for txn in stuck:
             op = self._inflight.get(txn)
@@ -1168,12 +894,10 @@ class DistributedSystem:
                 self.abort_transaction(txn, txn.doomed)
         # Replay parked restarts and terminals.
         for txn in self._parked_txns.pop(site, []):
-            self.sim.schedule(self.params.effective_restart_delay,
-                              self._arrival, txn)
+            self._schedule_restart(txn)
         for terminal_id in self._parked_terminals.pop(site, []):
-            delay = self.streams.exponential("think_time",
-                                             self.params.think_time)
-            self.sim.schedule(delay, self._terminal_submits, terminal_id)
+            self.sim.post(self._think_delay(),
+                          self._terminal_submits, terminal_id)
 
     def _log_site_event(self, site: Optional[int], action: str,
                         txn_id: Optional[int] = None,
@@ -1227,15 +951,10 @@ class DistributedSystem:
         """Raise :class:`~repro.errors.InvariantViolation` if the
         cluster's state is inconsistent.
 
-        Beyond each site's lock table and every tracker, checked
-        invariants (by name):
-
-        * ``site_population_partition`` — the site trackers partition
-          the global active set;
-        * ``blocked_flag_sync`` — a transaction is in the waiting map
-          exactly when its blocked flag is set;
-
-        and in failure mode:
+        Beyond :meth:`DBMSSystem.check_invariants` (every site's lock
+        table, the cluster tracker, ``blocked_flag_sync``) and each
+        home-site tracker: ``site_population_partition`` (the site
+        trackers partition the global active set) and, in failure mode:
 
         * ``lock_owner_live`` — every lock belongs to an active or an
           in-doubt (prepared) transaction;
@@ -1252,9 +971,7 @@ class DistributedSystem:
                                      sim_time=self.sim.now,
                                      evidence=evidence)
 
-        for site in self.sites:
-            site.lock_table.check_invariants()
-        self.tracker.check_invariants()
+        super().check_invariants()
         for view in self.site_views:
             view.tracker.check_invariants()
         total = sum(v.tracker.n_active for v in self.site_views)
@@ -1263,37 +980,27 @@ class DistributedSystem:
                     f"site trackers hold {total} active transactions, "
                     f"the global tracker {self.tracker.n_active}",
                     site_active=total, n_active=self.tracker.n_active)
-        for txn in self.tracker.active_transactions():
-            waiting = txn in self.waiting_site
-            if waiting != txn.is_blocked:
-                violate("blocked_flag_sync",
-                        f"{txn!r}: blocked flag {txn.is_blocked}, "
-                        f"waiting map {waiting}",
-                        txn_id=txn.txn_id, is_blocked=txn.is_blocked,
-                        waiting=waiting)
         if not self.failure_mode:
             return
         for site in self.sites:
             indoubt = self._indoubt[site.site_id]
             for page in site.lock_table.locked_pages():
                 for holder in site.lock_table.holders(page):
-                    if not (self.tracker.is_active(holder)
-                            or holder.txn_id in indoubt):
+                    if holder.txn_id in indoubt:
+                        continue
+                    if not self.tracker.is_active(holder):
                         violate("lock_owner_live",
                                 f"site {site.site_id} page {page}: lock "
                                 f"held by {holder!r}, neither active "
                                 f"nor in-doubt",
                                 site=site.site_id, page=page,
                                 txn_id=holder.txn_id)
-            if not self._site_up[site.site_id]:
-                for page in site.lock_table.locked_pages():
-                    for holder in site.lock_table.holders(page):
-                        if holder.txn_id not in indoubt:
-                            violate("down_site_prepared_only",
-                                    f"down site {site.site_id} holds a "
-                                    f"non-in-doubt lock for {holder!r}",
-                                    site=site.site_id, page=page,
-                                    txn_id=holder.txn_id)
+                    if not self._site_up[site.site_id]:
+                        violate("down_site_prepared_only",
+                                f"down site {site.site_id} holds a "
+                                f"non-in-doubt lock for {holder!r}",
+                                site=site.site_id, page=page,
+                                txn_id=holder.txn_id)
         for txn, sites_left in self._limbo.items():
             if not sites_left:
                 violate("limbo_indoubt_backed",

@@ -33,6 +33,7 @@ deeper through the window.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict, List
 
 from repro.distributed.config import DistributedParameters
@@ -49,10 +50,8 @@ from repro.distributed.failures import (
 from repro.distributed.system import DistributedSystem
 from repro.experiments.figures.base import FigureResult, FigureSpec
 from repro.experiments.parallel import current_context
+from repro.experiments.runner import measure
 from repro.experiments.scales import Scale
-from repro.metrics.collector import Collector
-from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 from repro.telemetry.sites import DistributedProbeScheduler
 
 __all__ = ["FIGURE", "run", "fault_plan_for"]
@@ -69,9 +68,9 @@ INTERVALS = 20           # probe points across the whole horizon
 def fault_plan_for(scale: Scale) -> SiteFaultPlan:
     """Crash site 1 and isolate site 3 over the middle quarter of the
     measurement window (all times deterministic, so the plan is too)."""
-    measure = scale.num_batches * scale.batch_time
-    start = scale.warmup_time + 0.375 * measure
-    duration = 0.25 * measure
+    measured = scale.num_batches * scale.batch_time
+    start = scale.warmup_time + 0.375 * measured
+    duration = 0.25 * measured
     others = tuple(s for s in range(NUM_SITES) if s != ISOLATED_SITE)
     return SiteFaultPlan(
         crashes=(SiteCrash(site=CRASH_SITE, at=start, duration=duration),),
@@ -103,12 +102,8 @@ def _throughput_series(scale: Scale,
     stream, which the batch-means result type does not carry.
     """
     ctx = current_context()
-    sim = Simulator()
-    streams = RandomStreams(params.seed)
-    collector = Collector()
-    system = DistributedSystem(
-        params=params, controllers=controllers, collector=collector,
-        sim=sim, streams=streams, fault_plan=plan)
+    system = DistributedSystem(params=params, controllers=controllers,
+                               fault_plan=plan)
     horizon = (params.warmup_time
                + params.num_batches * params.batch_time)
     session = None
@@ -120,23 +115,18 @@ def _throughput_series(scale: Scale,
     probes = DistributedProbeScheduler(system,
                                        interval=horizon / INTERVALS)
     probes.start()
-    checker = None
+    check_end = None
     if ctx.verify is not None:
-        from repro.verify.distributed import DistributedInvariantChecker
+        from repro.verify.distributed import (DistributedInvariantChecker,
+                                              check_quiesce)
         checker = DistributedInvariantChecker(ctx.verify)
         checker.attach(system)
-    system.start()
-    sim.run(until=horizon)
-    if checker is not None:
-        from repro.verify.distributed import check_quiesce
-        checker.check_all(context="figure horizon")
-        check_quiesce(system)
-    if session is not None:
-        session.finalize(params=params,
-                         controller_name=controllers.name,
-                         workload_name=system.workload.name,
-                         sim_time=sim.now,
-                         extra={"fault_plan": str(plan)})
+
+        def check_end() -> None:
+            checker.check_all(context="figure horizon")
+            check_quiesce(system)
+    measure(system, perf_counter(), telemetry=session, check_end=check_end,
+            extra={"fault_plan": str(plan)})
     times: List[float] = []
     pages_per_sec: List[float] = []
     prev_pages = 0
@@ -149,16 +139,16 @@ def _throughput_series(scale: Scale,
         "times": times,
         "series": pages_per_sec,
         "aborts_by_reason": dict(sorted(
-            collector.aborts_by_reason.items())),
+            system.collector.aborts_by_reason.items())),
         "network": system.network.stats(),
     }
 
 
 def run(scale: Scale) -> FigureResult:
     plan = fault_plan_for(scale)
-    measure = scale.num_batches * scale.batch_time
-    window = (scale.warmup_time + 0.375 * measure,
-              scale.warmup_time + 0.625 * measure)
+    measured = scale.num_batches * scale.batch_time
+    window = (scale.warmup_time + 0.375 * measured,
+              scale.warmup_time + 0.625 * measured)
 
     hh = _throughput_series(
         scale, _params_for(scale, degraded_admission=True),

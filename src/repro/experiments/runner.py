@@ -9,14 +9,13 @@ the snapshots to a :class:`SimulationResults`.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.control.base import LoadController
 from repro.core.maturity import MaturityRule
 from repro.dbms.config import SimulationParameters
 from repro.dbms.system import DBMSSystem
 from repro.lockmgr.wait_policy import WaitPolicy
-from repro.metrics.collector import Collector
 from repro.metrics.results import SimulationResults, build_results
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -94,28 +93,18 @@ def run_simulation(params: SimulationParameters,
         raise ValueError(
             "pass either telemetry= or tracer=, not both: a telemetry "
             "session installs its own tracer")
-    if telemetry is not None and profiler is not None:
-        raise ValueError(
-            "pass either telemetry= or profiler=, not both: a telemetry "
-            "session installs its own profiler")
     wall_start = perf_counter()
-    if sim is None:
-        sim = Simulator()
     streams = RandomStreams(params.seed)
-    collector = Collector()
     workload = (workload_factory(streams, params)
                 if workload_factory is not None else None)
     system = DBMSSystem(params=params, controller=controller,
                         workload=workload, wait_policy=wait_policy,
-                        maturity_rule=maturity_rule,
-                        collector=collector, sim=sim, streams=streams,
+                        maturity_rule=maturity_rule, sim=sim, streams=streams,
                         tracer=tracer, admission_order=admission_order,
                         **({"deadlock_strategy": deadlock_strategy}
                            if deadlock_strategy is not None else {}))
     if telemetry is not None:
         telemetry.install(system)
-    if profiler is not None:
-        sim.profiler = profiler
     if fault_schedule is not None:
         fault_schedule.install(system)
     if verify is not None:
@@ -129,6 +118,27 @@ def run_simulation(params: SimulationParameters,
             # and every later access goes through system.lock_table.
             system.lock_table = ShadowLockTable()
         InvariantChecker(verify).attach(system)
+    return measure(system, wall_start, telemetry=telemetry,
+                   profiler=profiler)
+
+
+def measure(system, wall_start: float, telemetry=None, profiler=None,
+            check_end: Optional[Callable[[], None]] = None,
+            extra: Optional[Dict[str, Any]] = None) -> SimulationResults:
+    """Start a fully assembled system, run the warmup and the batches,
+    and reduce the batch snapshots to :class:`SimulationResults`.
+
+    The measurement loop both runners share.  ``check_end`` runs after
+    the results are built and before the telemetry session (if any)
+    exports, together with ``extra`` manifest fields.
+    """
+    sim, params, collector = system.sim, system.params, system.collector
+    if profiler is not None:
+        if telemetry is not None:
+            raise ValueError(
+                "pass either telemetry= or profiler=, not both: a "
+                "telemetry session installs its own profiler")
+        sim.profiler = profiler
     system.start()
 
     # Phase marks for the attribution profiler (duck-typed: the plain
@@ -163,6 +173,8 @@ def run_simulation(params: SimulationParameters,
         max_mpl=collector.active.max_value,
         per_class=collector.per_class,
     )
+    if check_end is not None:
+        check_end()
     if telemetry is not None:
         telemetry.finalize(
             params=params,
@@ -170,5 +182,6 @@ def run_simulation(params: SimulationParameters,
             workload_name=system.workload.name,
             sim_time=sim.now,
             wall_time=perf_counter() - wall_start,
+            extra=extra,
         )
     return results

@@ -185,8 +185,7 @@ class DistributedProbeScheduler:
         return ProbeSample(
             time=now,
             n_active=n_active,
-            ready_queue=sum(len(v.ready_queue)
-                            for v in system.site_views),
+            ready_queue=len(system.ready_queue),
             n_state1=n1, n_state2=n2, n_state3=n3, n_state4=n4,
             frac_state1=(n1 / n_active if n_active else 0.0),
             frac_state3=(n3 / n_active if n_active else 0.0),

@@ -12,7 +12,7 @@ same ``sim.monitor`` hook slot as the single-site
     Per-site lock-table structure (``lock_table_consistency``), tracker
     bucket conservation (``tracker_bucket_conservation``), site
     trackers partitioning the global active set
-    (``site_population_partition``), blocked-flag/waiting-map sync
+    (``site_population_partition``), blocked-flag/lock-wait sync
     (``blocked_flag_sync``), and in failure mode every lock holder
     being active or in-doubt (``lock_owner_live``), down sites holding
     only in-doubt locks (``down_site_prepared_only``), and limbo
@@ -128,8 +128,7 @@ class DistributedInvariantChecker:
                 pending_arrivals += 1
         return {
             "active": system.tracker.n_active,
-            "ready_queue": sum(len(v.ready_queue)
-                               for v in system.site_views),
+            "ready_queue": len(system.ready_queue),
             "pending_submits": pending_submits,
             "pending_arrivals": pending_arrivals,
             "parked_txns": sum(len(v) for v in
@@ -210,10 +209,10 @@ def check_quiesce(system) -> None:
             invariant="quiesce_no_parked_work",
             sim_time=system.sim.now)
     for site, entries in enumerate(system._indoubt):
-        for txn_id, rec in entries.items():
-            deciding = rec.txn in system._twopc
+        for txn_id, txn in entries.items():
+            deciding = txn in system._twopc
             decided = txn_id in system.decision_record
-            limbo_backed = rec.txn in system._limbo
+            limbo_backed = txn in system._limbo
             if not (deciding or decided or limbo_backed):
                 raise InvariantViolation(
                     f"in-doubt entry for txn {txn_id} at site {site} "

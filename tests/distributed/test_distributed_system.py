@@ -169,3 +169,22 @@ def test_remote_work_lands_on_owning_sites():
     system = _run_system(_params(locality=0.0), make_no_control_sites(3))
     for entry in system.site_stats():
         assert entry["disk_utilization"] > 0.0
+
+
+@pytest.mark.parametrize("inherited", [{"buf_size": 30}, {"cc_cpu": 0.002},
+                                       {"lock_upgrades": False}],
+                         ids=lambda d: next(iter(d)))
+def test_inherited_parameters_take_effect(inherited):
+    """Per-site buffer pools, CC CPU cost on the owning site, and
+    immediate X locking all run through the shared lifecycle."""
+    base = dict(num_sites=2, num_terms=40, db_size=200, seed=3,
+                warmup_time=2.0, num_batches=2, batch_time=5.0)
+
+    def run(**extra):
+        r = run_distributed_simulation(
+            DistributedParameters(**base, **extra),
+            make_half_and_half_sites(2))
+        return r.commits, r.aborts, r.page_throughput.mean
+
+    assert run() == (137, 57, 135.2)
+    assert run(**inherited) != run()

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.control.fixed_mpl import FixedMPLController
+from repro.control.no_control import NoControlController
+from repro.core.half_and_half import HalfAndHalfController
 from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import (
     make_fixed_mpl_sites,
@@ -21,6 +24,7 @@ from repro.distributed.runner import run_distributed_simulation
 from repro.errors import ConfigurationError
 from repro.lockmgr.prevention import DeadlockStrategy
 from repro.metrics.collector import AbortReason
+from repro.metrics.trace import Tracer
 from repro.verify.config import VerifyConfig
 
 
@@ -302,6 +306,52 @@ def test_one_site_system_equals_centralized_model():
         == (collector2.commits, collector2.aborts, collector2.raw_pages)
     assert (collector1.commits, collector1.aborts, collector1.raw_pages) \
         == (210, 5, 2244)
+
+
+def _traced_run(system, until):
+    system.tracer = Tracer(capacity=None)
+    system.start()
+    system.sim.run(until=until)
+    return system.sim.events_executed, list(system.tracer)
+
+
+@pytest.mark.parametrize("strategy", list(DeadlockStrategy),
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("make_controller", [
+    pytest.param(HalfAndHalfController, id="hh"),
+    pytest.param(NoControlController, id="nc"),
+    pytest.param(lambda: FixedMPLController(8), id="mpl8"),
+])
+def test_one_site_system_traces_equal_centralized_model(make_controller,
+                                                        strategy):
+    """One site, zero delay: the distributed system runs the centralized
+    lifecycle, so the calendar and every traced lifecycle event match
+    ``DBMSSystem`` driven by the same workload generator."""
+    from repro.dbms.system import DBMSSystem
+    from repro.distributed.controllers import PerSiteControllerSet
+    from repro.distributed.partition import RangePartition
+    from repro.distributed.system import DistributedSystem
+    from repro.distributed.workload import DistributedWorkload
+    from repro.sim.rng import RandomStreams
+
+    params = DistributedParameters(num_sites=1, msg_delay=0.0, seed=7,
+                                   num_terms=30, db_size=60, tran_size=6,
+                                   write_prob=0.8)
+    dist = DistributedSystem(
+        params=params,
+        controllers=PerSiteControllerSet([make_controller()]),
+        deadlock_strategy=strategy)
+    streams = RandomStreams(params.seed)
+    cent = DBMSSystem(
+        params=params, controller=make_controller(),
+        workload=DistributedWorkload(streams, params,
+                                     RangePartition(params.db_size, 1)),
+        streams=streams, deadlock_strategy=strategy)
+    dist_events, dist_records = _traced_run(dist, 19.0)
+    cent_events, cent_records = _traced_run(cent, 19.0)
+    assert dist_events == cent_events
+    assert dist_records == cent_records
+    assert dist.collector.commits > 0
 
 
 # ----------------------------------------------------------------------

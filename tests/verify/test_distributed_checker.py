@@ -121,7 +121,8 @@ system.start()
 sim.run(until=5.0)
 txn = next(t for t in system.tracker.active_transactions()
            if not t.is_blocked)
-system.waiting_site[txn] = 0        # waiting, but not flagged blocked
+# Flagged blocked (consistently in every tracker), waiting nowhere.
+system.tracker.set_blocked(txn, True, sim.now)
 try:
     checker.check_all(context="desynced")
 except InvariantViolation as exc:
