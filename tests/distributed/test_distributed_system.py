@@ -186,5 +186,6 @@ def test_inherited_parameters_take_effect(inherited):
             make_half_and_half_sites(2))
         return r.commits, r.aborts, r.page_throughput.mean
 
-    assert run() == (137, 57, 135.2)
-    assert run(**inherited) != run()
+    baseline = run()
+    assert baseline == (137, 57, 135.2)
+    assert run(**inherited) != baseline

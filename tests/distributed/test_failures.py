@@ -351,7 +351,7 @@ def test_one_site_system_traces_equal_centralized_model(make_controller,
     cent_events, cent_records = _traced_run(cent, 19.0)
     assert dist_events == cent_events
     assert dist_records == cent_records
-    assert dist.collector.commits > 0
+    assert dist.collector.commits > 0 and dist.collector.aborts > 0
 
 
 # ----------------------------------------------------------------------
