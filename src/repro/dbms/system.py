@@ -149,9 +149,9 @@ class DBMSSystem:
         # on-commit cadence hooks here; per-event cadences hook the
         # simulator's monitor slot instead.
         self.invariants = None
-        # Optional ``(txn, site) -> bool`` run as a page's or a write's
-        # service completes; False drops the completion (the distributed
-        # failure model's leftovers of torn-down remote visits).
+        # Optional ``(txn, site) -> bool`` run as a lock request, a page
+        # or a write finishes its service; False drops the completion
+        # (the distributed failure model's torn-down remote visits).
         self._work_guard: Optional[Callable[[Transaction, Site],
                                             bool]] = None
         # Prebound RNG substreams: ``RandomStreams.stream`` hashes the
@@ -354,6 +354,8 @@ class DBMSSystem:
 
     def _do_request_lock(self, txn: Transaction, page: int, site: Site,
                          upgrade: bool) -> None:
+        if self._work_guard is not None and not self._work_guard(txn, site):
+            return
         if self.spans is not None:
             # Closes the CC CPU span when one was opened (cc_cpu > 0);
             # a no-op on the synchronous path.

@@ -481,11 +481,9 @@ class DistributedSystem(DBMSSystem):
                 self._send_decisions(txn)
                 return
             for site in self.sites:
-                if not site.lock_table.num_held(txn):
-                    continue
                 if site.site_id == home:
                     self._release_at(txn, home)
-                else:
+                elif site.lock_table.num_held(txn):
                     # The commit decision travels to the participant.
                     self.sim.post(self.params.msg_delay,
                                   self._release_at, txn, site.site_id)
@@ -497,12 +495,9 @@ class DistributedSystem(DBMSSystem):
         if site is not None:
             self._process_grants(site.lock_table.cancel_wait(txn), site)
         for site in self.sites:
-            if self.failure_mode and txn.txn_id in self._indoubt[
-                    site.site_id]:
-                continue
-            if site.lock_table.num_held(txn):
-                self._process_grants(site.lock_table.release_all(txn),
-                                     site)
+            if not (self.failure_mode
+                    and txn.txn_id in self._indoubt[site.site_id]):
+                self._release_at(txn, site.site_id)
 
     def _release_at(self, txn: Transaction, site_id: int) -> None:
         site = self.sites[site_id]
