@@ -354,7 +354,9 @@ class DBMSSystem:
 
     def _do_request_lock(self, txn: Transaction, page: int, site: Site,
                          upgrade: bool) -> None:
-        if self._work_guard is not None and not self._work_guard(txn, site):
+        # Only the CC CPU path reaches here as a service completion.
+        if (self._work_guard is not None and self.params.cc_cpu > 0.0
+                and not self._work_guard(txn, site)):
             return
         if self.spans is not None:
             # Closes the CC CPU span when one was opened (cc_cpu > 0);
