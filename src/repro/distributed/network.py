@@ -68,8 +68,14 @@ class ReliableCall:
         self.settled = False
 
     def settle(self) -> None:
-        """Mark the exchange complete; pending timeouts become no-ops."""
+        """Mark the exchange complete; pending timeouts become no-ops.
+
+        Drops the request and the failure callback: they usually close
+        over the protocol object that holds this handle, and a settled
+        exchange never sends or fails again.
+        """
         self.settled = True
+        self.fn = self.args = self.on_fail = None
 
 
 class Network:
@@ -189,7 +195,7 @@ class Network:
             return
         if not self.site_up(call.src):
             # The sender crashed: its retransmitter died with it.
-            call.settled = True
+            call.settle()
             return
         call.attempts += 1
         if call.attempts > 1:
@@ -206,9 +212,10 @@ class Network:
             return
         if call.attempts >= 1 + self.params.msg_retries:
             self.expirations += 1
-            call.settled = True
-            if call.on_fail is not None:
-                call.on_fail()
+            on_fail = call.on_fail
+            call.settle()
+            if on_fail is not None:
+                on_fail()
             return
         self._attempt(call)
 

@@ -130,7 +130,10 @@ def measure(system, wall_start: float, telemetry=None, profiler=None,
 
     The measurement loop both runners share.  ``check_end`` runs after
     the results are built and before the telemetry session (if any)
-    exports, together with ``extra`` manifest fields.
+    exports, together with ``extra`` manifest fields.  Then the system
+    is torn down (:meth:`DBMSSystem.teardown`), so the finished run's
+    object graph is freed by reference counting instead of lingering
+    as cyclic garbage until the next collection.
     """
     sim, params, collector = system.sim, system.params, system.collector
     if profiler is not None:
@@ -184,4 +187,7 @@ def measure(system, wall_start: float, telemetry=None, profiler=None,
             wall_time=perf_counter() - wall_start,
             extra=extra,
         )
+    # Only a run that got this far is torn down: one that raised keeps
+    # its state for post-mortem inspection.
+    system.teardown()
     return results

@@ -268,6 +268,27 @@ class Simulator:
         self._heap = live
         self._dead = 0
 
+    def clear(self) -> None:
+        """Drop every pending event and the slot pool.
+
+        For a finished run: the calendar's callbacks are bound methods
+        of the model, which holds the simulator, so a calendar left
+        populated keeps the whole run alive as cyclic garbage.  Handles
+        of dropped events are detached like those of fired ones (a late
+        ``cancel()`` is a no-op).  The clock and ``events_executed``
+        stay readable; scheduling afterwards works as on a fresh
+        calendar.
+        """
+        for slot in self._heap:
+            handle = slot[_HANDLE]
+            if handle is not None:
+                handle._slot = None
+                handle._sim = None
+            slot[_CALLBACK] = slot[_ARGS] = slot[_HANDLE] = None
+        self._heap = []
+        self._pool = []
+        self._dead = 0
+
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True

@@ -67,6 +67,12 @@ class CpuPool:
             return 0.0
         return self.busy_time / (elapsed * self.num_cpus)
 
+    def clear(self) -> None:
+        """Drop every waiting request (a finished run's teardown); the
+        counters stay readable."""
+        for queue in self._queues:
+            queue.clear()
+
     def request(self, service_time: float,
                 callback: Callable[..., Any], *args: Any,
                 priority: Priority = Priority.NORMAL) -> None:

@@ -49,6 +49,12 @@ class DiskArray:
         # Applied at access time; queued/in-service work is unaffected.
         self.service_scale = 1.0
 
+    def clear(self) -> None:
+        """Drop every waiting request (a finished run's teardown); the
+        counters stay readable."""
+        for disk in self._disks:
+            disk.queue.clear()
+
     def choose_disk(self, rng: random.Random) -> int:
         """Pick a disk uniformly at random (the paper's declustering)."""
         return rng.randrange(self.num_disks)

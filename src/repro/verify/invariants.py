@@ -10,7 +10,7 @@ catalog below over the *quiescent* simulation state between events:
     :meth:`LockTable.check_invariants` — queue/index/mode structure.
 ``lock_conflict_freedom``
     No page has more than one holder when any holder has X.  Computed
-    from the canonical dump with explicit mode logic, deliberately *not*
+    from the live holder maps with explicit mode logic, deliberately *not*
     via :func:`repro.lockmgr.modes.compatible`, so a corrupted
     compatibility predicate cannot vouch for itself.
 ``waiter_has_blockers``
@@ -58,6 +58,8 @@ from typing import Any, Dict, Optional
 
 from repro.core.regions import classify_region
 from repro.errors import InvariantViolation
+from repro.lockmgr.lock_table import _dump_label
+from repro.lockmgr.modes import LockMode
 from repro.verify.config import VerifyConfig
 from repro.verify.reference import reference_classify_region
 
@@ -145,9 +147,16 @@ class InvariantChecker:
         self.system.check_invariants()
 
     def _check_conflict_freedom(self) -> None:
-        for page, entry in self.system.lock_table.dump()["pages"].items():
-            holders = entry["holders"]
-            if "X" in holders.values() and len(holders) > 1:
+        table = self.system.lock_table
+        X = LockMode.X
+        for page in table.locked_pages():
+            holders = table.holders(page)
+            if len(holders) > 1 and X in holders.values():
+                # Evidence in the canonical dump's form: page and
+                # transactions as labels, modes by name.
+                page = str(page)
+                holders = {str(_dump_label(t)): m.name
+                           for t, m in holders.items()}
                 self._violate(
                     "lock_conflict_freedom",
                     f"page {page} has {len(holders)} holders but one "

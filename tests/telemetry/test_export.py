@@ -201,3 +201,97 @@ def test_schema_validator_flags_bad_records(tmp_path):
         {"time": 1.0, "type": "admit", "txn_id": True, "detail": ""},
         TRACE_SCHEMA)
     assert any("txn_id" in e for e in errors)
+
+
+# ----------------------------------------------------------------------
+# Fixed-field row encoders: byte for byte the sort_keys encoder
+# ----------------------------------------------------------------------
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+EDGE_NUMBERS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-7,
+                1e16, 10 ** 20, 0, -3, 0.1 + 0.2]
+EDGE_TEXTS = ["", 'say "hi"', "back\\slash", "ctl\x00\x01\t\n\x1f",
+              "café 日本 \U0001f600", "  \x7f"]
+
+
+def test_trace_row_matches_sort_keys_encoder():
+    from repro.metrics.trace import TraceEvent, TraceEventType
+    from repro.telemetry.export import trace_event_to_dict, trace_row
+    events = [TraceEvent(t, kind, txn_id, detail)
+              for t in EDGE_NUMBERS
+              for kind in (TraceEventType.BLOCK, TraceEventType.ABORT)
+              for txn_id in (0, 7, 10 ** 20)
+              for detail in EDGE_TEXTS]
+    for event in events:
+        assert trace_row(event) == _dumps(trace_event_to_dict(event))
+
+
+def test_span_row_matches_sort_keys_encoder():
+    from repro.telemetry.export import span_row
+    from repro.telemetry.spans import Span, SpanKind
+    rows = []
+    for value in EDGE_NUMBERS:
+        rows.append((3, SpanKind.CPU, value, value, 1, None, None, None))
+        rows.append((3, SpanKind.LOCK_WAIT, 0.5, value, 2, 17, 4, 1))
+    for missing in range(3):        # None in each optional field
+        optional = [17, 4, 2]
+        optional[missing] = None
+        rows.append((9, SpanKind.LOCK_WAIT, 1.0, 2.0, 1, *optional))
+    for kind in SpanKind:
+        rows.append((10 ** 20, kind, -0.0, 1e16, 3, 0, 0, 0))
+    for row in rows:
+        assert span_row(row) == _dumps(Span(*row).to_dict())
+
+
+def test_decision_row_matches_sort_keys_encoder():
+    from repro.telemetry.decisions import ControllerDecision
+    from repro.telemetry.export import decision_row
+    decisions = [
+        ControllerDecision(time=t, controller=name, action="admit",
+                           region=None, n_active=n, n_state1=n // 2,
+                           n_state3=0, txn_id=None, measure=t,
+                           threshold=None, detail=detail)
+        for t in EDGE_NUMBERS
+        for name in ("HalfAndHalf@site0", 'q"uote')
+        for n in (0, 5)
+        for detail in EDGE_TEXTS[:3]]
+    decisions.append(ControllerDecision(
+        time=1.0, controller="c", action="abort", region="overloaded",
+        n_active=3, n_state1=1, n_state3=2, txn_id=42, measure=0.6,
+        threshold=0.8, detail=EDGE_TEXTS[4]))
+    for missing in ("region", "txn_id", "measure", "threshold"):
+        fields = dict(time=2.0, controller="c", action="x",
+                      region="comfortable", n_active=4, n_state1=1,
+                      n_state3=1, txn_id=1, measure=0.25, threshold=0.8)
+        fields[missing] = None
+        decisions.append(ControllerDecision(**fields))
+    for decision in decisions:
+        assert decision_row(decision) == _dumps(decision.to_dict())
+
+
+def test_observed_run_exports_equal_the_record_dicts(tiny_params,
+                                                     tmp_path):
+    # The full observed configuration: every observer plus the
+    # verifier.  The rows the encoders wrote must be the bytes
+    # jsonl_dump writes for the records' own dicts.
+    from repro.telemetry.export import trace_event_to_dict
+    from repro.verify import VerifyConfig
+    run_dir = tmp_path / "run"
+    session = TelemetrySession(run_dir, spans=True, contention=True,
+                               online=True)
+    run_simulation(tiny_params, HalfAndHalfController(),
+                   telemetry=session, verify=VerifyConfig())
+    expected = {
+        "spans.jsonl": [s.to_dict() for s in session.spans],
+        "trace.jsonl": [trace_event_to_dict(e) for e in session.tracer],
+        "decisions.jsonl": [d.to_dict() for d in session.decisions],
+    }
+    for name, records in expected.items():
+        assert records, name
+        jsonl_dump(records, tmp_path / name)
+        assert (run_dir / name).read_bytes() == \
+            (tmp_path / name).read_bytes(), name
+    assert validate_run_dir(run_dir) == []

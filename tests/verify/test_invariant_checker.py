@@ -178,6 +178,29 @@ def _corrupt_grant_path(monkeypatch):
                         corrupted_request)
 
 
+def test_conflicting_holders_reported_with_dump_evidence(tiny_params):
+    # Inject an X and an S holder on one page behind the lock table's
+    # back; the evidence names them the way the canonical dump does.
+    from repro.lockmgr.lock_table import _Lock
+    from repro.lockmgr.modes import LockMode
+    system, checker = _verified_system(tiny_params, "sampled")
+    a, b = (system.workload.make_transaction(900 + i, 0, 0.0)
+            for i in range(2))
+    lock = _Lock()
+    lock.holders[a] = LockMode.X
+    lock.holders[b] = LockMode.S
+    system.lock_table._locks[7] = lock
+    with pytest.raises(InvariantViolation) as exc_info:
+        checker._check_conflict_freedom()
+    violation = exc_info.value
+    assert violation.invariant == "lock_conflict_freedom"
+    assert violation.evidence["page"] == "7"
+    assert violation.evidence["holders"] == {"900": "X", "901": "S"}
+    assert violation.evidence["holders"] == \
+        system.lock_table.dump()["pages"]["7"]["holders"]
+    assert "page 7 has 2 holders but one holds X" in str(violation)
+
+
 def test_corrupted_grant_path_caught_by_invariant_checker(
         tiny_params, monkeypatch):
     _corrupt_grant_path(monkeypatch)

@@ -156,6 +156,53 @@ def test_full_compare_due_after_a_rejected_operation():
         table.request(t0, "z", S)
 
 
+def _stride_of_untouched_requests(table, txn):
+    """Enough fresh-page requests to make the periodic full comparison
+    fall due, none of them touching an existing page."""
+    from repro.verify.shadow import FULL_COMPARE_STRIDE
+    for i in range(FULL_COMPARE_STRIDE + 1):
+        table.request(txn, "fresh%d" % i, S)
+
+
+def test_stale_real_wait_record_caught_by_periodic_full_compare():
+    # A real wait record for a transaction that sits in no queue: every
+    # page agrees, only the waiter multiset can tell.
+    from repro.lockmgr.lock_table import _WaitRecord
+    table = ShadowLockTable()
+    t0, ghost = _Txn(0), _Txn(1)
+    table.request(t0, "p", X)
+    table._waits[ghost] = _WaitRecord("p", S, False)
+    with pytest.raises(ShadowDivergence, match="full comparison"):
+        _stride_of_untouched_requests(table, t0)
+
+
+def test_empty_real_lock_entry_caught_by_periodic_full_compare():
+    # An empty _Lock left behind on a page no later operation touches:
+    # the reference has no state there at all.
+    from repro.lockmgr.lock_table import _Lock
+    table = ShadowLockTable()
+    t0 = _Txn(0)
+    table.request(t0, "p", S)
+    table._locks["orphan"] = _Lock()
+    with pytest.raises(ShadowDivergence, match="full comparison"):
+        _stride_of_untouched_requests(table, t0)
+
+
+def test_untouched_same_id_impostor_caught_by_periodic_full_compare():
+    # A holder replaced by another object with the same txn_id, on a
+    # page no later operation touches.  The canonical dumps label
+    # transactions by txn_id, so they agree here; the object compare
+    # does not.
+    table = ShadowLockTable()
+    t0, t1 = _Txn(0), _Txn(1)
+    table.request(t0, "p", S)
+    table.request(t1, "p", S)
+    table.reference._holds["p"][0].txn = _Txn(0)
+    assert table.dump() == table.reference.snapshot()
+    with pytest.raises(ShadowDivergence, match="full comparison"):
+        _stride_of_untouched_requests(table, t1)
+
+
 def _two_waiter_table():
     """t0 and t1 hold S on p and both wait to upgrade to X; t2 and t3
     queue behind them for S, in that order."""
