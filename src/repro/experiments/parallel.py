@@ -46,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import hashlib
 import multiprocessing
 import os
 import pickle
@@ -68,7 +67,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterator,
 from repro.dbms.config import SimulationParameters
 from repro.errors import ExperimentError, SpecExecutionError
 from repro.experiments.runner import WorkloadFactory, run_simulation
-from repro.fingerprint import code_fingerprint
+from repro.fingerprint import code_fingerprint, sha256
 from repro.metrics.results import SimulationResults
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.failures import AttemptRecord, FailedRun, FailureKind
@@ -261,7 +260,7 @@ def spec_key(spec: RunSpec) -> str:
         # exact key it had before the verify field existed and old cache
         # entries stay valid.
         parts.append(stable_token(spec.verify))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    return sha256("\n".join(parts).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +312,7 @@ class ResultCache:
             return None
         payload = blob[:-_FOOTER_LEN]
         digest = blob[-_FOOTER_LEN:-len(_FOOTER_MAGIC)]
-        if hashlib.sha256(payload).digest() != digest:
+        if sha256(payload).digest() != digest:
             self._quarantine(path)
             return None
         try:
@@ -332,7 +331,7 @@ class ResultCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
-                fh.write(hashlib.sha256(payload).digest())
+                fh.write(sha256(payload).digest())
                 fh.write(_FOOTER_MAGIC)
             os.replace(tmp, self.path_for(key))
         except BaseException:
@@ -759,6 +758,9 @@ class _BatchExecutor:
             # pool forks, so every worker inherits them instead of
             # importing them again for each batch.
             from repro.verify import invariants, shadow  # noqa: F401
+        if self.telemetry is not None:
+            # Likewise the observers the workers' sessions attach.
+            self.telemetry.import_observers()
         workers = min(self.jobs, len(self.to_run))
         pending: Deque[_Pending] = deque(
             _Pending(i, self.keys[i]) for i in self.to_run)

@@ -11,7 +11,6 @@ version), not just the scale's name.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -22,6 +21,7 @@ from repro.dbms.config import SimulationParameters
 from repro.experiments.parallel import RunSpec, run_specs, spec_key
 from repro.experiments.scales import Scale
 from repro.experiments.sweeps import default_mpl_candidates, select_optimal_mpl
+from repro.fingerprint import sha256
 from repro.metrics.results import SimulationResults
 
 __all__ = [
@@ -118,7 +118,7 @@ def txn_size_study(scale: Scale) -> TxnSizeStudy:
         specs.append(_tay_spec(params))
         index.append(("tay", size, None))
 
-    digest = hashlib.sha256(
+    digest = sha256(
         "\n".join(spec_key(s) for s in specs).encode()).hexdigest()
     cached = _STUDY_CACHE.get(digest)
     if cached is not None:

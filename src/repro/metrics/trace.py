@@ -122,7 +122,10 @@ class Tracer:
                 # index must record nothing either.
                 return
         self._events.append(event)
-        self._by_txn.setdefault(txn_id, deque()).append(event)
+        bucket = self._by_txn.get(txn_id)
+        if bucket is None:
+            bucket = self._by_txn[txn_id] = deque()
+        bucket.append(event)
 
     def record_abort(self, time: float, txn_id: int, reason: str) -> None:
         """Record an abort, mapping the collector reason string.

@@ -26,6 +26,7 @@ subdirectory.
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
@@ -36,20 +37,17 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional,
 from repro.errors import ConfigurationError
 from repro.fingerprint import code_fingerprint
 from repro.metrics.trace import TraceEvent, Tracer
-from repro.telemetry.contention import ContentionMonitor
 from repro.telemetry.decisions import ControllerDecision, DecisionLog
-from repro.telemetry.online import OnlineRegimeMonitor
-from repro.telemetry.perf import (AllocationProbe, PerfProfiler,
-                                  chrome_trace_document, collapsed_stacks,
-                                  speedscope_document)
 from repro.telemetry.probes import ProbeScheduler
 from repro.telemetry.profiling import EngineProfiler
-from repro.telemetry.sites import DistributedProbeScheduler
-from repro.telemetry.spans import SpanRecorder, SpanRow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dbms.system import DBMSSystem
     from repro.distributed.system import DistributedSystem
+    from repro.telemetry.contention import ContentionMonitor
+    from repro.telemetry.online import OnlineRegimeMonitor
+    from repro.telemetry.perf import PerfProfiler
+    from repro.telemetry.spans import SpanRecorder, SpanRow
 
 __all__ = [
     "TELEMETRY_FORMAT",
@@ -65,6 +63,17 @@ __all__ = [
 ]
 
 TELEMETRY_FORMAT = "repro-telemetry-v1"
+
+# The module behind each observer switch of a session (``alloc`` rides
+# on ``perf``).  A session imports one only when its switch is on, so a
+# run loads no observer it does not attach; ``run_specs`` imports the
+# same modules before its pool forks, so every worker inherits them.
+_OBSERVER_MODULES = {
+    "spans": "repro.telemetry.spans",
+    "contention": "repro.telemetry.contention",
+    "online": "repro.telemetry.online",
+    "perf": "repro.telemetry.perf",
+}
 
 
 # One shared encoder: ``json.dumps`` with non-default options builds a
@@ -231,6 +240,12 @@ class TelemetryConfig:
             alloc=self.alloc,
         )
 
+    def import_observers(self) -> None:
+        """Import the observer modules this config's sessions attach."""
+        for switch, module in _OBSERVER_MODULES.items():
+            if getattr(self, switch):
+                importlib.import_module(module)
+
 
 class TelemetrySession:
     """Full observability for one simulation run.
@@ -267,21 +282,31 @@ class TelemetrySession:
         self.tracer = Tracer(capacity=trace_capacity)
         self.decisions = DecisionLog(capacity=decision_capacity)
         self.probes: Optional[ProbeScheduler] = None
-        # A PerfProfiler *is* an EngineProfiler, so when perf is on it
-        # serves as the event-loop profiler too — one hook, both
-        # granularities, and profile.json keeps its usual summary.
+        # Each optional observer's module is imported only when its
+        # switch is on (see _OBSERVER_MODULES).  A PerfProfiler *is* an
+        # EngineProfiler, so when perf is on it serves as the event-loop
+        # profiler too — one hook, both granularities, and profile.json
+        # keeps its usual summary.
+        self.perf: Optional[PerfProfiler] = None
+        self.profiler: Optional[EngineProfiler] = None
         if perf:
-            self.profiler = PerfProfiler(
+            from repro.telemetry.perf import AllocationProbe, PerfProfiler
+            self.perf = self.profiler = PerfProfiler(
                 alloc=AllocationProbe() if alloc else None)
-        else:
-            self.profiler = EngineProfiler() if profile else None
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder(capacity=span_capacity) if spans else None)
-        self.contention: Optional[ContentionMonitor] = (
-            ContentionMonitor() if contention else None)
-        self.online: Optional[OnlineRegimeMonitor] = (
-            OnlineRegimeMonitor(decision_log=self.decisions)
-            if online else None)
+        elif profile:
+            self.profiler = EngineProfiler()
+        self.spans: Optional[SpanRecorder] = None
+        if spans:
+            from repro.telemetry.spans import SpanRecorder
+            self.spans = SpanRecorder(capacity=span_capacity)
+        self.contention: Optional[ContentionMonitor] = None
+        if contention:
+            from repro.telemetry.contention import ContentionMonitor
+            self.contention = ContentionMonitor()
+        self.online: Optional[OnlineRegimeMonitor] = None
+        if online:
+            from repro.telemetry.online import OnlineRegimeMonitor
+            self.online = OnlineRegimeMonitor(decision_log=self.decisions)
         # Callers may add provenance fields (spec key, tag, ...) here
         # before the run finishes; merged into the manifest.
         self.manifest_extra: Dict[str, Any] = {}
@@ -300,11 +325,11 @@ class TelemetrySession:
         self.probes.start()
         if self.profiler is not None:
             system.sim.profiler = self.profiler
+        if self.perf is not None:
             # The attribution profiler rides the probe event for its
             # wall-clock throughput ticks (read-only piggyback, no
             # calendar change).
-            if isinstance(self.profiler, PerfProfiler):
-                self.probes.listeners.append(self.profiler)
+            self.probes.listeners.append(self.perf)
         if self.spans is not None:
             self.spans.attach(system)
         if self.contention is not None:
@@ -340,13 +365,14 @@ class TelemetrySession:
             controller.name_suffix = f"@site{i}"
             controller.decision_log = self.decisions
             controller.on_decision_log_attached()
+        from repro.telemetry.sites import DistributedProbeScheduler
         self.probes = DistributedProbeScheduler(system,
                                                 self.probe_interval)
         self.probes.start()
         if self.profiler is not None:
             system.sim.profiler = self.profiler
-            if isinstance(self.profiler, PerfProfiler):
-                self.probes.listeners.append(self.profiler)
+        if self.perf is not None:
+            self.probes.listeners.append(self.perf)
 
     # ------------------------------------------------------------------
 
@@ -427,26 +453,28 @@ class TelemetrySession:
             profile["event_loop"] = self.profiler.summary()
         json_dump(profile, self.out_dir / "profile.json")
 
-        if isinstance(self.profiler, PerfProfiler):
+        if self.perf is not None:
             # The attribution artifacts are wall-clock files like
             # profile.json; the manifest deliberately does not mention
             # them, so every pre-existing export stays byte-identical
             # with profiling on or off.
-            if self.profiler.alloc is not None:
-                self.profiler.alloc.stop()
-            json_dump(self.profiler.perf_summary(),
+            from repro.telemetry.perf import (chrome_trace_document,
+                                              collapsed_stacks,
+                                              speedscope_document)
+            if self.perf.alloc is not None:
+                self.perf.alloc.stop()
+            json_dump(self.perf.perf_summary(),
                       self.out_dir / "perf.json")
             (self.out_dir / "flame.collapsed").write_text(
-                collapsed_stacks(self.profiler), encoding="utf-8")
+                collapsed_stacks(self.perf), encoding="utf-8")
             json_dump(
-                speedscope_document(self.profiler,
-                                    name=self.out_dir.name),
+                speedscope_document(self.perf, name=self.out_dir.name),
                 self.out_dir / "flame.speedscope.json")
             json_dump(
                 chrome_trace_document(
                     self.spans if self.spans is not None else (),
                     samples,
-                    profiler=self.profiler,
+                    profiler=self.perf,
                     name=self.out_dir.name),
                 self.out_dir / "trace.json")
 

@@ -581,23 +581,29 @@ def validate_record(record: Any, schema: Dict[str, Any],
 
 def validate_jsonl(path: Union[str, Path],
                    schema: Dict[str, Any]) -> List[str]:
-    """Validate every line of a JSONL file; returns error strings."""
+    """Validate every line of a JSONL file; returns error strings.
+
+    The file is read one line at a time, so validating an export never
+    holds more than one of its records.
+    """
     path = Path(path)
     errors: List[str] = []
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path.name}:{lineno}"
+                try:
+                    # Without its newline, so a decode error's position
+                    # stays on this line.
+                    record = json.loads(line.rstrip("\n"))
+                except json.JSONDecodeError as exc:
+                    errors.append(f"{where}: invalid JSON ({exc})")
+                    continue
+                errors.extend(validate_record(record, schema, where=where))
     except OSError as exc:
         return [f"{path}: unreadable ({exc})"]
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path.name}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"{where}: invalid JSON ({exc})")
-            continue
-        errors.extend(validate_record(record, schema, where=where))
     return errors
 
 

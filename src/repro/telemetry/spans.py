@@ -202,7 +202,9 @@ class SpanRecorder:
                             open_span.attempt, open_span.page,
                             open_span.blocker, open_span.depth))
         duration = end - open_span.start
-        totals = self._totals.setdefault(txn.txn_id, {})
+        totals = self._totals.get(txn.txn_id)
+        if totals is None:
+            totals = self._totals[txn.txn_id] = {}
         totals[kind] = totals.get(kind, 0.0) + duration
         if kind is SpanKind.LOCK_WAIT:
             self.analytics.credit_wait(open_span.blocker,

@@ -16,7 +16,6 @@ by the tier-1 test suite and by the CI ``verify-smoke`` job.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -27,6 +26,7 @@ from repro.control.malthusian import MalthusianController
 from repro.dbms.config import SimulationParameters
 from repro.experiments.export import results_to_dict
 from repro.experiments.runner import run_simulation
+from repro.fingerprint import sha256
 from repro.metrics.trace import Tracer
 from repro.telemetry.export import trace_event_to_dict
 
@@ -54,7 +54,7 @@ def default_golden_path() -> Path:
 def _canonical_sha256(payload) -> str:
     encoded = json.dumps(payload, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+    return sha256(encoded).hexdigest()
 
 
 def extra_golden_entries(scale: str = GOLDEN_SCALE) -> List[BenchEntry]:

@@ -203,6 +203,32 @@ def test_schema_validator_flags_bad_records(tmp_path):
     assert any("txn_id" in e for e in errors)
 
 
+def test_jsonl_validator_reports_lines_and_unreadable_files(tmp_path):
+    from repro.telemetry import TRACE_SCHEMA, validate_jsonl
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        '{"detail":"","time":1.0,"txn_id":1,"type":"admit"}\n'
+        '\n'
+        '{"detail":"","time":2.0,"txn_id":1,"type":"commit"\n'
+        '   \n'
+        '{"detail":"","time":3.0,"txn_id":true,"type":"admit"}\n'
+        '{"time":4.0}', encoding="utf-8")
+    # Blank lines count but are not records; a truncated record's
+    # decode error stays on its own line.
+    assert validate_jsonl(path, TRACE_SCHEMA) == [
+        "trace.jsonl:3: invalid JSON (Expecting ',' delimiter: line 1 "
+        "column 51 (char 50))",
+        "trace.jsonl:5: field 'txn_id' has type bool, expected integer",
+        "trace.jsonl:6: missing required field 'type'",
+        "trace.jsonl:6: missing required field 'txn_id'",
+        "trace.jsonl:6: missing required field 'detail'",
+    ]
+    for unreadable in (tmp_path / "missing.jsonl", tmp_path):
+        errors = validate_jsonl(unreadable, TRACE_SCHEMA)
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{unreadable}: unreadable (")
+
+
 # ----------------------------------------------------------------------
 # Fixed-field row encoders: byte for byte the sort_keys encoder
 # ----------------------------------------------------------------------

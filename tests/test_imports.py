@@ -43,13 +43,17 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, check=False, timeout=120)
 
 
-def _loaded(code: str) -> set:
-    """The ``repro`` modules a fresh interpreter holds after ``code``."""
-    proc = _python("-c", code + "\nimport sys, json\nprint(json.dumps("
-                   "sorted(m for m in sys.modules "
-                   "if m.split('.')[0] == 'repro')))")
+def _modules(code: str) -> set:
+    """The modules a fresh interpreter holds after ``code``."""
+    proc = _python("-c", code + "\nimport sys, json\n"
+                   "print(json.dumps(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loaded(code: str) -> set:
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    return {m for m in _modules(code) if m.split(".")[0] == "repro"}
 
 
 def _imported_by(*args: str) -> set:
@@ -107,6 +111,55 @@ def test_contended_workload_module_budget():
     assert len(loaded) <= 45, sorted(loaded)
 
 
+def _smoke_run(tmp_path, session: str, verify: str = "None") -> str:
+    """Code for a small run under ``TelemetrySession(<dir>, <session>)``
+    whose exports must validate."""
+    return f"""
+from repro.core.half_and_half import HalfAndHalfController
+from repro.dbms.config import SimulationParameters
+from repro.experiments.runner import run_simulation
+from repro.telemetry import TelemetrySession, validate_run_dir
+from repro.verify.config import VerifyConfig
+
+out = {str(tmp_path / "run")!r}
+params = SimulationParameters(num_terms=10, db_size=200, warmup_time=2.0,
+                              num_batches=1, batch_time=5.0)
+session = TelemetrySession(out, {session})
+run_simulation(params, HalfAndHalfController(), telemetry=session,
+               verify={verify})
+assert validate_run_dir(out) == []
+"""
+
+
+# What the ``observed`` configuration (every single-site observer but
+# the perf profiler, plus verification) must not load: OpenSSL behind
+# hashlib, and the perf profiler with tracemalloc.
+NOT_OBSERVED = ("hashlib", "_hashlib", "tracemalloc",
+                "repro.telemetry.perf", "repro.telemetry.sites")
+
+
+def test_an_observed_run_loads_no_openssl_or_perf_profiler(tmp_path):
+    loaded = _modules(_smoke_run(
+        tmp_path, "spans=True, contention=True, online=True",
+        verify="VerifyConfig()"))
+    assert "repro.telemetry.spans" in loaded
+    assert sorted(m for m in NOT_OBSERVED if m in loaded) == []
+
+
+def test_a_default_session_loads_no_optional_observer(tmp_path):
+    loaded = _loaded(_smoke_run(tmp_path, ""))
+    assert "repro.telemetry.export" in loaded
+    assert sorted(m for m in loaded if m in (
+        "repro.telemetry.spans", "repro.telemetry.contention",
+        "repro.telemetry.online", "repro.telemetry.perf",
+        "repro.telemetry.sites")) == []
+
+
+def test_a_perf_session_loads_the_perf_profiler(tmp_path):
+    loaded = _loaded(_smoke_run(tmp_path, "perf=True"))
+    assert "repro.telemetry.perf" in loaded
+
+
 def test_import_repro_loads_no_implementation_module():
     assert _loaded("import repro") == {"repro", "repro._lazy"}
 
@@ -132,7 +185,8 @@ def test_one_figure_loads_one_figure_module():
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="pool workers inherit modules only under fork")
-@pytest.mark.parametrize("flags", ["", "verify", "telemetry"])
+@pytest.mark.parametrize("flags", ["", "verify", "telemetry",
+                                   "observers"])
 def test_pool_workers_import_nothing_the_parent_lacks(tmp_path, flags):
     # Each cold batch forks a fresh pool, so a module a worker imports
     # on its own is paid again on every batch.  Every worker records
@@ -173,6 +227,13 @@ verify = None
 if FLAGS == "verify":
     from repro.verify.config import VerifyConfig
     verify = VerifyConfig.parse("sampled")
+telemetry = None
+if FLAGS == "telemetry":
+    telemetry = os.path.join(OUT, "tel")
+elif FLAGS == "observers":
+    from repro.telemetry import TelemetryConfig
+    telemetry = TelemetryConfig(root=os.path.join(OUT, "tel"), spans=True,
+                                contention=True, online=True)
 specs = []
 for terms in (5, 10):
     params = base_params(SMOKE, num_terms=terms, seed=1)
@@ -182,8 +243,7 @@ for terms in (5, 10):
         params=params, controller_factory=NoControlController))
 parallel.run_specs(
     specs, jobs=2, cache=os.path.join(OUT, "cache"),
-    verify=verify,
-    telemetry=os.path.join(OUT, "tel") if FLAGS == "telemetry" else None)
+    verify=verify, telemetry=telemetry)
 """
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
