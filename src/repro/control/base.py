@@ -38,9 +38,9 @@ class LoadController:
         # single ``is not None`` check so the disabled path allocates
         # nothing (same discipline as the system's tracer).
         self.decision_log: Optional["DecisionLog"] = None
-        # Display-only disambiguator appended to ``name`` (the
-        # distributed telemetry layer tags each site's controller
-        # ``@siteN`` so shared decision logs stay attributable).  It
+        # Display-only disambiguator appended to ``name`` (a
+        # PerSiteControllerSet tags each site's controller ``@siteN``
+        # so a shared decision log stays attributable).  It
         # must never feed back into results: anything that keys on the
         # controller identity uses ``base_name``.
         self.name_suffix: str = ""

@@ -47,7 +47,8 @@ lock request or of a deferred write, and the end of each page's work.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence)
 
 from repro.core.maturity import MaturityRule
 from repro.core.state_tracker import StateTracker
@@ -171,6 +172,19 @@ class DBMSSystem:
         self.tracker = StateTracker(self.collector)
         self.ready_queue = ReadyQueue()
         self._site_of: List[Site] = [self] * self.params.db_size
+
+    @property
+    def sites(self) -> Sequence[Site]:
+        """Every site, in site order: a centralized system is its own
+        only site.  Observers iterate these for per-site resources and
+        lock tables."""
+        return (self,)
+
+    # Per-site probe rows (``site_probes.jsonl``) at one probe tick, for
+    # systems whose sites keep state the aggregate probe sample cannot
+    # show (:meth:`repro.distributed.system.DistributedSystem.
+    # site_probe_rows`); None here, which the probe scheduler checks once.
+    site_probe_rows = None
 
     # ------------------------------------------------------------------
     # Startup
@@ -730,9 +744,7 @@ class DBMSSystem:
         readable; the run cannot be continued.
         """
         self.sim.clear()
-        # Every site that owns a page; a site that owns none never has
-        # work queued.
-        for site in dict.fromkeys(self._site_of):
+        for site in self.sites:
             site.cpu.clear()
             site.disks.clear()
         self._site_of = []
@@ -745,6 +757,18 @@ class DBMSSystem:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
+
+    def offstage_population(self) -> Dict[str, int]:
+        """The closed population that is neither active, ready-queued
+        nor on the calendar as a pending submit or arrival, by kind:
+        here the Malthusian cold set.  The invariant checker's
+        ``population_conservation`` adds these to its own counts."""
+        return {"parked": len(self.parked)}
+
+    def check_quiesce(self) -> None:
+        """End-of-run obligations, checked once after the horizon by a
+        verified run.  A centralized run has none beyond the invariant
+        catalog."""
 
     def check_invariants(self) -> None:
         """Cross-check lock table and tracker consistency.

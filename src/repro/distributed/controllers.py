@@ -40,6 +40,7 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dbms.transaction import Transaction
     from repro.distributed.system import DistributedSystem
+    from repro.telemetry.decisions import DecisionLog
 
 __all__ = ["PerSiteControllerSet", "make_half_and_half_sites",
            "make_no_control_sites", "make_fixed_mpl_sites"]
@@ -63,6 +64,9 @@ class PerSiteControllerSet:
         self.system: Optional["DistributedSystem"] = None
         # Each terminal's home-site controller, bound by attach().
         self._by_terminal: List[LoadController] = []
+        # The decision log telemetry installs, as on LoadController:
+        # shared by the site controllers and the system's failure events.
+        self.decision_log: Optional["DecisionLog"] = None
 
     def __len__(self) -> int:
         return len(self.controllers)
@@ -74,6 +78,14 @@ class PerSiteControllerSet:
             controller.attach(view)
         self._by_terminal = [self.controllers[home]
                              for home in system.terminal_home]
+
+    def on_decision_log_attached(self) -> None:
+        """Hand the decision log to every site's controller, tagging
+        each ``@siteN`` so the shared log stays attributable."""
+        for i, controller in enumerate(self.controllers):
+            controller.name_suffix = f"@site{i}"
+            controller.decision_log = self.decision_log
+            controller.on_decision_log_attached()
 
     def want_admit(self, txn: "Transaction") -> bool:
         return self._by_terminal[txn.terminal_id].want_admit(txn)

@@ -1,11 +1,13 @@
 """Runner for distributed simulations: builds a
 :class:`~repro.distributed.system.DistributedSystem` and measures it
 with the single-site runner's loop
-(:func:`repro.experiments.runner.measure`)."""
+(:func:`repro.experiments.runner.measure`).  A telemetry session and
+verification attach exactly as on a centralized run: one
+:meth:`~repro.telemetry.TelemetrySession.install`, and
+:func:`~repro.verify.invariants.attach_verifier`."""
 
 from __future__ import annotations
 
-import functools
 from time import perf_counter
 from typing import Optional
 
@@ -45,18 +47,19 @@ def run_distributed_simulation(
             CPU/disk service times.  Orthogonal to ``fault_plan`` —
             degradation vs. outage — and usable without failure mode.
         telemetry: optional :class:`repro.telemetry.TelemetrySession`;
-            installed via its distributed entry point (aggregate +
-            per-site probes, one decision log shared by the site
-            controllers and the system's failure events, event-loop
-            profiler), exported as the standard JSONL session plus
-            ``site_probes.jsonl``.  Mutually exclusive with
-            ``profiler`` (the session brings its own).
+            installed as on a centralized run (every observer it
+            switches on; one decision log shared by the site controllers,
+            each tagged ``@siteN``, and the system's failure events),
+            exported as the standard session plus ``site_probes.jsonl``.
+            Mutually exclusive with ``profiler`` (the session brings its
+            own).
         profiler: optional :class:`repro.telemetry.EngineProfiler`
             attached to the event loop.
-        verify: optional :class:`repro.verify.VerifyConfig`; attaches
-            the :class:`repro.verify.DistributedInvariantChecker`
-            (purely observational — no shadow lock table in the
-            distributed model).
+        verify: optional :class:`repro.verify.VerifyConfig`; verified as
+            a centralized run is (:func:`repro.verify.invariants.
+            attach_verifier`): every site's lock table shadowed unless
+            switched off, the one invariant catalog, and the end-of-run
+            quiesce obligations.
     """
     wall_start = perf_counter()
     system = DistributedSystem(
@@ -64,17 +67,13 @@ def run_distributed_simulation(
         maturity_rule=maturity_rule, deadlock_strategy=deadlock_strategy,
         admission_order=admission_order, fault_plan=fault_plan)
     if telemetry is not None:
-        telemetry.install_distributed(system)
+        telemetry.install(system)
     check_end = None
     if verify is not None:
         # Lazy import: repro.verify pulls in the golden-run machinery,
         # which drives runners — a top-level import would be circular.
-        from repro.verify.distributed import (DistributedInvariantChecker,
-                                              check_quiesce)
-        DistributedInvariantChecker(verify).attach(system)
-        # Quiesce-time sweep: with every site up, nothing may remain in
-        # doubt forever.
-        check_end = functools.partial(check_quiesce, system)
+        from repro.verify.invariants import attach_verifier
+        check_end = attach_verifier(system, verify)
     if fault_schedule is not None:
         fault_schedule.install(system)
     return measure(system, wall_start, telemetry=telemetry,

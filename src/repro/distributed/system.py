@@ -75,7 +75,9 @@ above — the same zero-cost-off contract as telemetry and verify.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from itertools import chain
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Set)
 
 from repro.core.maturity import MaturityRule
 from repro.core.state_tracker import StateTracker
@@ -90,10 +92,15 @@ from repro.distributed.partition import RangePartition
 from repro.distributed.workload import DistributedWorkload
 from repro.errors import (ConfigurationError, InvariantViolation,
                           SimulationError)
+from repro.lockmgr.lock_table import LockTable
+from repro.lockmgr.modes import LockMode
 from repro.lockmgr.prevention import DeadlockStrategy
 from repro.metrics.collector import AbortReason, Collector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+if TYPE_CHECKING:  # pragma: no cover - imported where rows are built
+    from repro.telemetry.sites import SiteProbeSample
 
 __all__ = ["DistributedSystem"]
 
@@ -148,11 +155,14 @@ class _RemoteOp:
 
 
 class _GlobalLockView:
-    """Union view over all site lock tables.
+    """Union view over all site lock tables: the query surface deadlock
+    handling, the controllers and the observers call on
+    ``system.lock_table``.
 
     A transaction waits for at most one lock: the one on its current
-    page, at that page's owning site.  Wait queries go there; holder
-    queries scan every site.
+    page, at that page's owning site.  Wait queries go there, page
+    queries go to the page's owner, and the rest take the union over
+    sites, in site order.
     """
 
     def __init__(self, sites: List[_Site], site_of: List[_Site]):
@@ -171,11 +181,29 @@ class _GlobalLockView:
     def is_waiting(self, txn: Transaction) -> bool:
         return self.waiting_site(txn) is not None
 
+    def waiting_on(self, txn: Transaction) -> Optional[int]:
+        site = self.waiting_site(txn)
+        return None if site is None else site.lock_table.waiting_on(txn)
+
     def blocking_order(self, txn: Transaction) -> List[Transaction]:
         site = self.waiting_site(txn)
         if site is None:
             return []
         return site.lock_table.blocking_order(txn)
+
+    def blocking_set(self, txn: Transaction) -> Set[Transaction]:
+        site = self.waiting_site(txn)
+        if site is None:
+            return set()
+        return site.lock_table.blocking_set(txn)
+
+    # The walk follows first blockers through blocking_order above, so
+    # a chain crosses sites.
+    wait_chain_depth = LockTable.wait_chain_depth
+
+    def waiting_transactions(self) -> List[Transaction]:
+        return [txn for site in self._sites
+                for txn in site.lock_table.waiting_transactions()]
 
     def is_blocking_others(self, txn: Transaction) -> bool:
         return any(site.lock_table.is_blocking_others(txn)
@@ -183,6 +211,24 @@ class _GlobalLockView:
 
     def num_held(self, txn: Transaction) -> int:
         return sum(site.lock_table.num_held(txn) for site in self._sites)
+
+    def held_pages(self, txn: Transaction) -> Set[int]:
+        return set().union(*(site.lock_table.held_pages(txn)
+                             for site in self._sites))
+
+    def locked_pages(self) -> List[int]:
+        return [page for site in self._sites
+                for page in site.lock_table.locked_pages()]
+
+    def holders(self, page: int) -> Dict[Transaction, LockMode]:
+        return self._site_of[page].lock_table.holders(page)
+
+    def num_waiters(self, page: int) -> int:
+        return self._site_of[page].lock_table.num_waiters(page)
+
+    def dump(self) -> Dict[str, Any]:
+        """Every site's :meth:`LockTable.dump`, in site order."""
+        return {"sites": [site.lock_table.dump() for site in self._sites]}
 
     def check_invariants(self) -> None:
         for site in self._sites:
@@ -230,7 +276,9 @@ class _ClusterTracker(StateTracker):
 
 class _ClusterReadyQueue:
     """The home sites' ready queues as one: a push goes to the
-    transaction's home queue, the length is the cluster total."""
+    transaction's home queue, the length is the cluster total, iteration
+    runs through the queues in site order, and an ``observer`` is every
+    home queue's."""
 
     def __init__(self, by_terminal: List[ReadyQueue],
                  queues: List[ReadyQueue]):
@@ -242,6 +290,18 @@ class _ClusterReadyQueue:
 
     def __len__(self) -> int:
         return sum(len(queue) for queue in self._queues)
+
+    def __iter__(self) -> Iterator[Transaction]:
+        return chain.from_iterable(self._queues)
+
+    @property
+    def observer(self):
+        return self._queues[0].observer
+
+    @observer.setter
+    def observer(self, observer) -> None:
+        for queue in self._queues:
+            queue.observer = observer
 
 
 class _SiteView:
@@ -312,7 +372,6 @@ class DistributedSystem(DBMSSystem):
         self.site_commits = [0] * params.num_sites
         # ---- failure-realistic layer (zero-cost when off) ----
         self.fault_plan = fault_plan
-        self.decision_log = None        # installed by telemetry
         self._site_up = [True] * params.num_sites
         self._degraded = [False] * params.num_sites
         # _last_heard[i][j]: when site i last received anything from j.
@@ -349,13 +408,14 @@ class DistributedSystem(DBMSSystem):
 
     def _build_sites(self) -> None:
         params = self.params
-        self.sites = [_Site(i, self.sim, params)
-                      for i in range(params.num_sites)]
-        self._site_of = [self.sites[self.partition.site_of(page)]
+        self._sites = [_Site(i, self.sim, params)
+                       for i in range(params.num_sites)]
+        self._site_of = [self._sites[self.partition.site_of(page)]
                          for page in range(params.db_size)]
-        # Deadlock handling and controller victim queries see the union.
+        # Deadlock handling, controller victim queries and the observers
+        # see the union.
         self.lock_table = self.global_locks = _GlobalLockView(
-            self.sites, self._site_of)
+            self._sites, self._site_of)
         self.site_views = [_SiteView(self, i)
                            for i in range(params.num_sites)]
         views = [self.site_views[home] for home in self.terminal_home]
@@ -364,6 +424,10 @@ class DistributedSystem(DBMSSystem):
         self.ready_queue = _ClusterReadyQueue(
             [view.ready_queue for view in views],
             [view.ready_queue for view in self.site_views])
+
+    @property
+    def sites(self) -> List[_Site]:
+        return self._sites
 
     def home_of(self, txn: Transaction) -> int:
         return self.terminal_home[txn.terminal_id]
@@ -451,7 +515,7 @@ class DistributedSystem(DBMSSystem):
         # Read-only transactions too: wound-wait spares them from here.
         txn.phase = TxnPhase.UPDATING
         home = self.home_of(txn)
-        remote = [site.site_id for site in self.sites
+        remote = [site.site_id for site in self._sites
                   if site.site_id != home
                   and site.lock_table.num_held(txn)]
         if remote and self.failure_mode:
@@ -480,7 +544,7 @@ class DistributedSystem(DBMSSystem):
                 self._release_at(txn, home)
                 self._send_decisions(txn)
                 return
-            for site in self.sites:
+            for site in self._sites:
                 if site.site_id == home:
                     self._release_at(txn, home)
                 elif site.lock_table.num_held(txn):
@@ -494,13 +558,13 @@ class DistributedSystem(DBMSSystem):
         site = self.global_locks.waiting_site(txn)
         if site is not None:
             self._process_grants(site.lock_table.cancel_wait(txn), site)
-        for site in self.sites:
+        for site in self._sites:
             if not (self.failure_mode
                     and txn.txn_id in self._indoubt[site.site_id]):
                 self._release_at(txn, site.site_id)
 
     def _release_at(self, txn: Transaction, site_id: int) -> None:
-        site = self.sites[site_id]
+        site = self._sites[site_id]
         self._process_grants(site.lock_table.release_all(txn), site)
 
     # ------------------------------------------------------------------
@@ -822,7 +886,7 @@ class DistributedSystem(DBMSSystem):
         self._site_up[site] = False
         self._log_site_event(site, "site_crash")
         indoubt_here = self._indoubt[site]
-        crashed = self.sites[site]
+        crashed = self._sites[site]
         active = sorted(self.tracker.active_transactions(),
                         key=lambda t: t.txn_id)
         # Pass 1: abort everything waiting at the crashed site, so the
@@ -898,9 +962,10 @@ class DistributedSystem(DBMSSystem):
                         txn_id: Optional[int] = None,
                         measure: Optional[float] = None,
                         detail: str = "") -> None:
-        """Record a system-level failure event in the decision log,
-        attributed to the pseudo-controller ``siteN`` (or ``network``)."""
-        log = self.decision_log
+        """Record a system-level failure event in the controllers'
+        decision log, attributed to the pseudo-controller ``siteN`` (or
+        ``network``)."""
+        log = self.controller.decision_log
         if log is None:
             return
         if site is None:
@@ -913,9 +978,10 @@ class DistributedSystem(DBMSSystem):
                 detail=detail)
 
     def teardown(self) -> None:
-        """:meth:`DBMSSystem.teardown`, plus the site views' and the
-        network's links back to the system, and the remote visits and
-        2PC attempts still in flight (their exchanges settled).
+        """:meth:`DBMSSystem.teardown` (which also clears every home
+        ready queue's observer), plus the site views' and the network's
+        links back to the system, and the remote visits and 2PC attempts
+        still in flight (their exchanges settled).
         ``site_stats()``, ``remote_fraction()`` and ``network.stats()``
         stay readable."""
         super().teardown()
@@ -940,7 +1006,7 @@ class DistributedSystem(DBMSSystem):
         """Per-site utilization and lock-manager statistics."""
         elapsed = self.sim.now
         stats = []
-        for site, view in zip(self.sites, self.site_views):
+        for site, view in zip(self._sites, self.site_views):
             row = {
                 "site": site.site_id,
                 "cpu_utilization": site.cpu.utilization(elapsed),
@@ -958,15 +1024,102 @@ class DistributedSystem(DBMSSystem):
             stats.append(row)
         return stats
 
+    def site_probe_rows(self, now: float, cpu_utils: List[float],
+                        disk_utils: List[float]) -> List["SiteProbeSample"]:
+        """One :class:`~repro.telemetry.sites.SiteProbeSample` per site,
+        in site order, given each site's interval utilizations (see
+        :class:`repro.telemetry.probes.ProbeScheduler`)."""
+        from repro.telemetry.sites import SiteProbeSample
+        rows = []
+        for i, (site, view) in enumerate(zip(self._sites,
+                                             self.site_views)):
+            home = view.tracker
+            rows.append(SiteProbeSample(
+                time=now,
+                site=i,
+                up=self._site_up[i],
+                degraded=self._degraded[i],
+                n_active=home.n_active,
+                ready_queue=len(view.ready_queue),
+                blocked_frac=(home.n_blocked / home.n_active
+                              if home.n_active else 0.0),
+                cpu_util=cpu_utils[i],
+                disk_util=disk_utils[i],
+                in_doubt=len(self._indoubt[i]),
+                cum_commits=self.site_commits[i],
+                cum_lock_requests=site.lock_table.requests,
+                cum_lock_blocks=site.lock_table.blocks,
+            ))
+        return rows
+
+    def offstage_population(self) -> Dict[str, int]:
+        """:meth:`DBMSSystem.offstage_population`, plus the work parked
+        while its home site is down and the limbo transactions whose
+        restart waits for in-doubt locks: a crash that drops a
+        transaction without rescheduling its terminal shows up in the
+        checker's ``population_conservation`` at once."""
+        population = super().offstage_population()
+        population["parked_txns"] = sum(
+            len(v) for v in self._parked_txns.values())
+        population["parked_terminals"] = sum(
+            len(v) for v in self._parked_terminals.values())
+        population["limbo"] = len(self._limbo)
+        return population
+
+    def check_quiesce(self) -> None:
+        """End-of-run obligations, binding only when every site is up at
+        the horizon (a run that *ends* mid-crash legitimately holds
+        parked work and unresolved in-doubt entries):
+
+        * ``quiesce_no_parked_work`` — nothing remains parked;
+        * ``quiesce_indoubt_resolvable`` — every unresolved in-doubt
+          entry has a live resolution path: a deciding coordinator, a
+          durable decision awaiting delivery, or a limbo-backed
+          presumed abort.
+        """
+        if not all(self._site_up):
+            return
+        if self._parked_txns or self._parked_terminals:
+            raise InvariantViolation(
+                f"all sites are up but work is still parked: "
+                f"txns={sorted(self._parked_txns)} "
+                f"terminals={sorted(self._parked_terminals)}",
+                invariant="quiesce_no_parked_work",
+                sim_time=self.sim.now)
+        for site, entries in enumerate(self._indoubt):
+            for txn_id, txn in entries.items():
+                if not (txn in self._twopc
+                        or txn_id in self.decision_record
+                        or txn in self._limbo):
+                    raise InvariantViolation(
+                        f"in-doubt entry for txn {txn_id} at site {site} "
+                        f"has no live resolution path (coordinator gone, "
+                        f"no decision record, not limbo-backed)",
+                        invariant="quiesce_indoubt_resolvable",
+                        sim_time=self.sim.now,
+                        evidence={"site": site, "txn_id": txn_id})
+
     def check_invariants(self) -> None:
         """Raise :class:`~repro.errors.InvariantViolation` if the
         cluster's state is inconsistent.
 
         Beyond :meth:`DBMSSystem.check_invariants` (every site's lock
         table, the cluster tracker, ``blocked_flag_sync``) and each
-        home-site tracker: ``site_population_partition`` (the site
-        trackers partition the global active set) and, in failure mode:
+        home-site tracker:
 
+        * ``site_population_partition`` — the site trackers partition
+          the global active set;
+        * ``network_accounting`` — the transport's counters are
+          non-negative and every sent message is accounted as
+          delivered, lost, dropped, or still in flight;
+
+        and, in failure mode:
+
+        * ``decision_record_accounting`` — every retained coordinator
+          decision has a positive waiter count equal to the number of
+          in-doubt participant entries for that transaction (records
+          are garbage-collected exactly when the last participant
+          learns the outcome);
         * ``lock_owner_live`` — every lock belongs to an active or an
           in-doubt (prepared) transaction;
         * ``down_site_prepared_only`` — a down site holds only in-doubt
@@ -991,9 +1144,34 @@ class DistributedSystem(DBMSSystem):
                     f"site trackers hold {total} active transactions, "
                     f"the global tracker {self.tracker.n_active}",
                     site_active=total, n_active=self.tracker.n_active)
+        stats = self.network.stats()
+        for name, value in stats.items():
+            if value < 0:
+                violate("network_accounting",
+                        f"network counter {name} is negative ({value})",
+                        **stats)
+        accounted = (stats["delivered"] + stats["lost"]
+                     + stats["dropped_partition"] + stats["dropped_down"])
+        if accounted > stats["sent"]:
+            violate("network_accounting",
+                    f"{accounted} messages accounted for but only "
+                    f"{stats['sent']} sent", **stats)
         if not self.failure_mode:
             return
-        for site in self.sites:
+        indoubt_by_txn: Dict[int, int] = {}
+        for entries in self._indoubt:
+            for txn_id in entries:
+                indoubt_by_txn[txn_id] = indoubt_by_txn.get(txn_id, 0) + 1
+        for txn_id, decision in self.decision_record.items():
+            waiters = self._decision_waiters.get(txn_id, 0)
+            holders = indoubt_by_txn.get(txn_id, 0)
+            if waiters <= 0 or waiters != holders:
+                violate("decision_record_accounting",
+                        f"decision record for txn {txn_id} ({decision}) "
+                        f"has waiter count {waiters} but {holders} "
+                        f"in-doubt entries exist",
+                        txn_id=txn_id, waiters=waiters, holders=holders)
+        for site in self._sites:
             indoubt = self._indoubt[site.site_id]
             for page in site.lock_table.locked_pages():
                 for holder in site.lock_table.holders(page):

@@ -52,7 +52,7 @@ from repro.experiments.figures.base import FigureResult, FigureSpec
 from repro.experiments.parallel import current_context
 from repro.experiments.runner import measure
 from repro.experiments.scales import Scale
-from repro.telemetry.sites import DistributedProbeScheduler
+from repro.telemetry.probes import ProbeScheduler
 
 __all__ = ["FIGURE", "run", "fault_plan_for"]
 
@@ -109,22 +109,20 @@ def _throughput_series(scale: Scale,
     session = None
     if ctx.telemetry is not None:
         session = ctx.telemetry.session_for(run_id)
-        session.install_distributed(system)
+        session.install(system)
     # The figure's own probe stream: fixed point count at any scale,
     # independent of the telemetry session's probe interval.
-    probes = DistributedProbeScheduler(system,
-                                       interval=horizon / INTERVALS)
+    probes = ProbeScheduler(system, interval=horizon / INTERVALS)
     probes.start()
     check_end = None
     if ctx.verify is not None:
-        from repro.verify.distributed import (DistributedInvariantChecker,
-                                              check_quiesce)
-        checker = DistributedInvariantChecker(ctx.verify)
-        checker.attach(system)
+        from repro.verify.invariants import attach_verifier
+        check_quiesce = attach_verifier(system, ctx.verify)
+        checker = system.invariants
 
         def check_end() -> None:
             checker.check_all(context="figure horizon")
-            check_quiesce(system)
+            check_quiesce()
     measure(system, perf_counter(), telemetry=session, check_end=check_end,
             extra={"fault_plan": str(plan)})
     times: List[float] = []

@@ -107,19 +107,15 @@ def run_simulation(params: SimulationParameters,
         telemetry.install(system)
     if fault_schedule is not None:
         fault_schedule.install(system)
+    check_end = None
     if verify is not None:
         # Imported lazily: repro.verify.golden drives this runner, so a
         # top-level import would be circular — and unverified runs never
         # pay the import.
-        from repro.verify.invariants import InvariantChecker
-        from repro.verify.shadow import ShadowLockTable
-        if verify.shadow_lock_table:
-            # Swap before start(): no lock activity has happened yet,
-            # and every later access goes through system.lock_table.
-            system.lock_table = ShadowLockTable()
-        InvariantChecker(verify).attach(system)
+        from repro.verify.invariants import attach_verifier
+        check_end = attach_verifier(system, verify)
     return measure(system, wall_start, telemetry=telemetry,
-                   profiler=profiler)
+                   profiler=profiler, check_end=check_end)
 
 
 def measure(system, wall_start: float, telemetry=None, profiler=None,

@@ -108,14 +108,13 @@ class FaultSchedule:
 
         ``system`` is a single-site :class:`~repro.dbms.system.
         DBMSSystem` or a :class:`~repro.distributed.system.
-        DistributedSystem` (duck-typed on its ``sites`` attribute).
+        DistributedSystem` (duck-typed on its ``site_views``).
         Site-targeted windows are validated here, before anything is
         scheduled.
         """
-        distributed = hasattr(system, "sites")
         for window in self.windows:
             if window.site is not None:
-                if not distributed:
+                if not hasattr(system, "site_views"):
                     raise ExperimentError(
                         f"{window} targets a site, but the system is "
                         f"single-site")
@@ -130,7 +129,7 @@ class FaultSchedule:
 
     def _resources(self, system, window: FaultWindow) -> List:
         disk = window.kind == SystemFaultKind.DISK_SLOWDOWN
-        if hasattr(system, "sites"):
+        if hasattr(system, "site_views"):
             sites = (system.sites if window.site is None
                      else [system.sites[window.site]])
             return [s.disks if disk else s.cpu for s in sites]
@@ -138,7 +137,7 @@ class FaultSchedule:
 
     def _log(self, system, window: FaultWindow, action: str,
              detail: str) -> None:
-        if hasattr(system, "sites"):
+        if hasattr(system, "site_views"):
             # Attributed to the faulted site (or "network"-style
             # cluster-wide pseudo-controller when site is None).
             system._log_site_event(window.site, action,

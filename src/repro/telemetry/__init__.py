@@ -50,7 +50,6 @@ __all__ = [
     "ProbeSample",
     "ProbeScheduler",
     "SiteProbeSample",
-    "DistributedProbeScheduler",
     "EngineProfiler",
     "subsystem_of",
     "canonical_qualname",
@@ -141,7 +140,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                                 "SWEEP_SUMMARY_SCHEMA", "TRACE_SCHEMA",
                                 "validate_jsonl", "validate_record",
                                 "validate_run_dir", "validate_sweep_summary"),
-    "repro.telemetry.sites": ("DistributedProbeScheduler", "SiteProbeSample"),
+    "repro.telemetry.sites": ("SiteProbeSample",),
     "repro.telemetry.spans": ("Span", "SpanKind", "SpanRecorder"),
     "repro.telemetry.sweep": ("find_knee", "render_sweep_report",
                               "summarize_sweep", "write_sweep_summary"),

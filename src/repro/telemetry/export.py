@@ -4,15 +4,21 @@ A :class:`TelemetrySession` bundles the three observers — a
 :class:`~repro.metrics.trace.Tracer`, a
 :class:`~repro.telemetry.decisions.DecisionLog`, and a
 :class:`~repro.telemetry.probes.ProbeScheduler` — installs them on a
-:class:`~repro.dbms.system.DBMSSystem`, and, after the run, serializes
-everything into one directory:
+:class:`~repro.dbms.system.DBMSSystem` (centralized, or a
+:class:`~repro.distributed.system.DistributedSystem`: one
+:meth:`TelemetrySession.install` serves both), and, after the run,
+serializes everything into one directory:
 
 * ``manifest.json``   — provenance (seed, parameters, spec hash,
   package fingerprint, record counts).  Fully deterministic: two runs
   of the same spec produce byte-identical manifests regardless of
   process layout.
 * ``probes.jsonl`` / ``decisions.jsonl`` / ``trace.jsonl`` — one
-  compact JSON object per line, sorted keys, deterministic bytes.
+  compact JSON object per line, sorted keys, deterministic bytes;
+  a distributed run adds ``site_probes.jsonl``, the per-site rows;
+* ``spans.jsonl`` / ``latency.json``, ``contention.jsonl`` /
+  ``contention.json`` and ``regimes.json`` — from the observers the
+  session switches on, on either system kind.
 * ``profile.json``    — wall-clock numbers (run wall time, event-loop
   profile).  Deliberately the *only* non-deterministic file, so
   byte-comparing everything else across serial and process-pool
@@ -43,7 +49,6 @@ from repro.telemetry.profiling import EngineProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dbms.system import DBMSSystem
-    from repro.distributed.system import DistributedSystem
     from repro.telemetry.contention import ContentionMonitor
     from repro.telemetry.online import OnlineRegimeMonitor
     from repro.telemetry.perf import PerfProfiler
@@ -313,10 +318,18 @@ class TelemetrySession:
         self._finalized = False
 
     def install(self, system: "DBMSSystem") -> None:
-        """Attach all observers to a freshly built system.
+        """Attach all observers to a freshly built system, centralized
+        or distributed.
 
         Must run before ``system.start()`` so the first probe lands
-        exactly one interval into the run.
+        exactly one interval into the run.  On a distributed system the
+        controller is a :class:`~repro.distributed.controllers.
+        PerSiteControllerSet`, which hands the decision log to every
+        site controller (each tagged ``@siteN``); the system logs its
+        failure events (site crash/recovery, partitions, in-doubt
+        holds, degraded-mode transitions) into the same log, and the
+        probe scheduler's per-site rows are exported as
+        ``site_probes.jsonl``.
         """
         system.tracer = self.tracer
         system.controller.decision_log = self.decisions
@@ -338,42 +351,6 @@ class TelemetrySession:
         if self.online is not None:
             self.probes.listeners.append(self.online)
 
-    def install_distributed(self, system: "DistributedSystem") -> None:
-        """Attach observers to a freshly built distributed system.
-
-        Must run before ``system.start()``.  One decision log serves
-        every site controller (each tagged ``@siteN``) *and* the
-        system's failure events (site crash/recovery, partitions,
-        in-doubt holds, degraded-mode transitions).  Probing swaps in
-        the :class:`~repro.telemetry.sites.DistributedProbeScheduler`,
-        so the session additionally exports ``site_probes.jsonl``.
-
-        Spans, contention, and online monitors hook single-site
-        internals the distributed model does not expose; asking for
-        them here is a configuration error rather than silent no-data.
-        """
-        enabled = [name for name, obs in (("spans", self.spans),
-                                          ("contention", self.contention),
-                                          ("online", self.online))
-                   if obs is not None]
-        if enabled:
-            raise ConfigurationError(
-                f"telemetry option(s) {', '.join(enabled)} are not "
-                f"supported for distributed runs")
-        system.decision_log = self.decisions
-        for i, controller in enumerate(system.controllers.controllers):
-            controller.name_suffix = f"@site{i}"
-            controller.decision_log = self.decisions
-            controller.on_decision_log_attached()
-        from repro.telemetry.sites import DistributedProbeScheduler
-        self.probes = DistributedProbeScheduler(system,
-                                                self.probe_interval)
-        self.probes.start()
-        if self.profiler is not None:
-            system.sim.profiler = self.profiler
-        if self.perf is not None:
-            self.probes.listeners.append(self.perf)
-
     # ------------------------------------------------------------------
 
     def finalize(self,
@@ -386,8 +363,8 @@ class TelemetrySession:
         """Serialize everything collected; returns the run directory."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         samples = self.probes.samples if self.probes is not None else []
-
-        site_samples = getattr(self.probes, "site_samples", None)
+        site_samples = (self.probes.site_samples
+                        if self.probes is not None else None)
 
         jsonl_dump((s.to_dict() for s in samples),
                    self.out_dir / "probes.jsonl")

@@ -104,7 +104,8 @@ class ProbeScheduler:
     """Samples a :class:`~repro.dbms.system.DBMSSystem` periodically.
 
     Args:
-        system: the system to observe.
+        system: the system to observe: centralized, or a
+            :class:`~repro.distributed.system.DistributedSystem`.
         interval: simulated seconds between samples (> 0).
 
     Call :meth:`start` after construction (and before the simulation
@@ -112,6 +113,14 @@ class ProbeScheduler:
     :attr:`samples`.  Exactly one probe event is pending at any time —
     each firing schedules its successor — so the calendar never fills
     with probes.
+
+    A sample aggregates over the system's sites: utilizations are the
+    mean over sites, service scales the maximum (any site's injected
+    degradation shows), lock-table counters the sum.  A centralized
+    system is its own only site.  When the system builds per-site rows
+    (``system.site_probe_rows``), each firing also appends them, in
+    site order, to :attr:`site_samples` (the ``site_probes.jsonl``
+    stream); otherwise :attr:`site_samples` is None.
 
     Other observers may register in :attr:`listeners`: each finished
     sample is handed to every listener's ``on_sample(sample)`` in
@@ -130,10 +139,14 @@ class ProbeScheduler:
         self.samples: List[ProbeSample] = []
         self.listeners: List[Any] = []
         self._started = False
-        # Busy-time high-water marks for per-interval utilization.
+        self._sites = system.sites
+        self._site_rows = system.site_probe_rows
+        self.site_samples: Optional[List[Any]] = (
+            [] if self._site_rows is not None else None)
+        # Per-site busy-time high-water marks for interval utilization.
         self._last_time = system.sim.now
-        self._cpu_busy = system.cpu.busy_time
-        self._disk_busy = system.disks.busy_time
+        self._cpu_busy = [site.cpu.busy_time for site in self._sites]
+        self._disk_busy = [site.disks.busy_time for site in self._sites]
 
     def start(self) -> None:
         """Schedule the first probe, ``interval`` seconds from now."""
@@ -152,36 +165,43 @@ class ProbeScheduler:
     # ------------------------------------------------------------------
 
     def sample(self) -> ProbeSample:
-        """Snapshot the system right now (read-only)."""
+        """Snapshot the system right now (read-only).
+
+        Appends the per-site rows, if any, as a side effect and returns
+        the aggregate sample (which :meth:`_fire` appends itself).
+        """
         system = self.system
         now = system.sim.now
         tracker = system.tracker
         collector = system.collector
-        lock_table = system.lock_table
-
-        n_active = tracker.n_active
-        n1, n2 = tracker.n_state1, tracker.n_state2
-        n3, n4 = tracker.n_state3, tracker.n_state4
+        sites = self._sites
 
         # Per-interval utilizations from busy-time deltas.  Busy time is
         # credited at service start, so a long access straddling the
         # boundary lands wholly in one interval; clamp to [0, 1].
         dt = now - self._last_time
-        cpu_busy = system.cpu.busy_time
-        disk_busy = system.disks.busy_time
-        if dt > 0.0:
-            cpu_util = min(1.0, (cpu_busy - self._cpu_busy)
-                           / (dt * system.cpu.num_cpus))
-            disk_util = min(1.0, (disk_busy - self._disk_busy)
-                            / (dt * system.disks.num_disks))
-        else:
-            cpu_util = 0.0
-            disk_util = 0.0
         self._last_time = now
-        self._cpu_busy = cpu_busy
-        self._disk_busy = disk_busy
+        cpu_utils: List[float] = []
+        disk_utils: List[float] = []
+        for i, site in enumerate(sites):
+            cpu_busy = site.cpu.busy_time
+            disk_busy = site.disks.busy_time
+            if dt > 0.0:
+                cpu_utils.append(min(1.0, (cpu_busy - self._cpu_busy[i])
+                                     / (dt * site.cpu.num_cpus)))
+                disk_utils.append(min(1.0, (disk_busy - self._disk_busy[i])
+                                      / (dt * site.disks.num_disks)))
+            else:
+                cpu_utils.append(0.0)
+                disk_utils.append(0.0)
+            self._cpu_busy[i] = cpu_busy
+            self._disk_busy[i] = disk_busy
+        if self.site_samples is not None:
+            self.site_samples.extend(
+                self._site_rows(now, cpu_utils, disk_utils))
 
         # Conflict ratio: locks held by everyone / locks held by runners.
+        lock_table = system.lock_table
         total_held = 0
         running_held = 0
         for txn in tracker.active_transactions():
@@ -197,6 +217,10 @@ class ProbeScheduler:
         else:
             conflict_ratio = total_held / running_held
 
+        n_active = tracker.n_active
+        n1, n2 = tracker.n_state1, tracker.n_state2
+        n3, n4 = tracker.n_state3, tracker.n_state4
+        n_sites = len(sites)
         return ProbeSample(
             time=now,
             n_active=n_active,
@@ -205,15 +229,17 @@ class ProbeScheduler:
             frac_state1=(n1 / n_active if n_active else 0.0),
             frac_state3=(n3 / n_active if n_active else 0.0),
             blocked_frac=((n3 + n4) / n_active if n_active else 0.0),
-            cpu_util=cpu_util,
-            disk_util=disk_util,
-            cpu_scale=system.cpu.service_scale,
-            disk_scale=system.disks.service_scale,
+            cpu_util=sum(cpu_utils) / n_sites,
+            disk_util=sum(disk_utils) / n_sites,
+            cpu_scale=max(site.cpu.service_scale for site in sites),
+            disk_scale=max(site.disks.service_scale for site in sites),
             conflict_ratio=conflict_ratio,
             locks_held=total_held,
-            locked_pages=lock_table.num_locked_pages(),
-            cum_lock_requests=lock_table.requests,
-            cum_lock_blocks=lock_table.blocks,
+            locked_pages=sum(site.lock_table.num_locked_pages()
+                             for site in sites),
+            cum_lock_requests=sum(site.lock_table.requests
+                                  for site in sites),
+            cum_lock_blocks=sum(site.lock_table.blocks for site in sites),
             cum_commits=collector.commits,
             cum_aborts=collector.aborts,
             cum_aborts_by_reason=dict(collector.aborts_by_reason),

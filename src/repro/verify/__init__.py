@@ -30,8 +30,6 @@ __all__ = [
     "CADENCES",
     "VerifyConfig",
     "InvariantChecker",
-    "DistributedInvariantChecker",
-    "check_quiesce",
     "ReferenceLockTable",
     "reference_classify_region",
     "ShadowLockTable",
@@ -51,8 +49,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.errors": ("InvariantViolation", "ShadowDivergence",
                      "VerificationError"),
     "repro.verify.config": ("CADENCES", "VerifyConfig"),
-    "repro.verify.distributed": ("DistributedInvariantChecker",
-                                 "check_quiesce"),
     "repro.verify.envelope": ("EnvelopeResult", "check_envelope"),
     "repro.verify.golden": ("check_goldens", "compute_golden_manifest",
                             "default_golden_path", "update_goldens"),

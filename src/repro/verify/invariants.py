@@ -1,10 +1,14 @@
 """Runtime invariant oracle: the cross-subsystem checks for live runs.
 
 :class:`InvariantChecker` attaches to a :class:`~repro.dbms.system.
-DBMSSystem` through the same zero-cost-off hook slots the telemetry
-layer uses (``sim.monitor`` for per-event cadences, ``system.invariants``
-for the on-commit cadence) and, at the configured cadence, asserts the
-catalog below over the *quiescent* simulation state between events:
+DBMSSystem` — centralized or a :class:`~repro.distributed.system.
+DistributedSystem` — through the same zero-cost-off hook slots the
+telemetry layer uses (``sim.monitor`` for per-event cadences,
+``system.invariants`` for the on-commit cadence) and, at the configured
+cadence, asserts the catalog below over the *quiescent* simulation
+state between events.  Lock-table checks go through
+``system.lock_table``, which on a distributed system is the union view
+over its sites:
 
 ``lock_table_consistency``
     :meth:`LockTable.check_invariants` — queue/index/mode structure.
@@ -20,6 +24,9 @@ catalog below over the *quiescent* simulation state between events:
 ``tracker_bucket_conservation`` / ``blocked_flag_sync``
     :meth:`DBMSSystem.check_invariants` — Table 1 bucket counters match
     a from-scratch reclassification; blocked flags mirror lock waits.
+    A distributed system adds its site, network, 2PC decision-record,
+    in-doubt and limbo checks there
+    (:meth:`DistributedSystem.check_invariants`).
 ``region_shadow``
     :func:`~repro.core.regions.classify_region` agrees with the exact-
     rational :func:`~repro.verify.reference.reference_classify_region`
@@ -29,9 +36,11 @@ catalog below over the *quiescent* simulation state between events:
     set, and holds/waits for nothing; the collector's ready-queue and
     MPL gauges equal the recomputed values.
 ``population_conservation``
-    Closed system: active + ready-queued + parked (the Malthusian cold
-    set) + in-flight terminal events (pending ``_terminal_submits`` /
-    ``_arrival``) equals ``num_terms``.
+    Closed system: active + ready-queued + in-flight terminal events
+    (pending ``_terminal_submits`` / ``_arrival``) + the system's
+    offstage population (:meth:`DBMSSystem.offstage_population`: the
+    Malthusian cold set; on a distributed system also work parked at a
+    down site and limbo transactions) equals ``num_terms``.
 ``parked_accounting``
     Every cold-set transaction is in phase PARKED, outside the active
     set, holds/waits for nothing (enforced by
@@ -42,8 +51,13 @@ catalog below over the *quiescent* simulation state between events:
     (aborts by reason sum up, committed pages ≤ raw pages, per-class
     tallies sum to globals, commits ≤ admissions, nothing negative).
 ``buffer_bounds``
-    A bounded buffer pool never exceeds its capacity and its hit/miss/
-    eviction counters are non-negative.
+    No site's bounded buffer pool exceeds its capacity, and its
+    hit/miss/eviction counters are non-negative.
+
+:meth:`DBMSSystem.check_quiesce` holds the end-of-run obligations
+(a distributed run's parked work and in-doubt entries);
+:func:`attach_verifier` returns it for the runner to call after the
+horizon.
 
 A failed check raises :class:`~repro.errors.InvariantViolation` enriched
 with simulated time, the triggering context, and a JSON-serializable
@@ -54,7 +68,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.regions import classify_region
 from repro.errors import InvariantViolation
@@ -63,7 +77,26 @@ from repro.lockmgr.modes import LockMode
 from repro.verify.config import VerifyConfig
 from repro.verify.reference import reference_classify_region
 
-__all__ = ["InvariantChecker"]
+__all__ = ["InvariantChecker", "attach_verifier"]
+
+
+def attach_verifier(system, config: VerifyConfig) -> Callable[[], None]:
+    """Verify one run as ``config`` says, before ``system.start()``.
+
+    Unless ``config.shadow_lock_table`` is off, every site's lock table
+    is swapped for a :class:`~repro.verify.shadow.ShadowLockTable`
+    (no lock activity has happened yet, and every later access goes
+    through ``site.lock_table``); then an :class:`InvariantChecker` is
+    attached.  Returns the system's end-of-run check
+    (:meth:`DBMSSystem.check_quiesce`), for the runner to call after the
+    horizon.
+    """
+    if config.shadow_lock_table:
+        from repro.verify.shadow import ShadowLockTable
+        for site in system.sites:
+            site.lock_table = ShadowLockTable()
+    InvariantChecker(config).attach(system)
+    return system.check_quiesce
 
 
 class InvariantChecker:
@@ -249,10 +282,7 @@ class InvariantChecker:
         if not system._started:
             return
         breakdown = self._population_breakdown()
-        total = (breakdown["active"] + breakdown["ready_queue"]
-                 + breakdown["parked"]
-                 + breakdown["pending_submits"]
-                 + breakdown["pending_arrivals"])
+        total = sum(breakdown.values())
         if total != system.params.num_terms:
             self._violate(
                 "population_conservation",
@@ -274,7 +304,7 @@ class InvariantChecker:
         return {
             "active": system.tracker.n_active,
             "ready_queue": len(system.ready_queue),
-            "parked": len(system.parked),
+            **system.offstage_population(),
             "pending_submits": pending_submits,
             "pending_arrivals": pending_arrivals,
         }
@@ -288,23 +318,24 @@ class InvariantChecker:
                 counters=self.system.collector.counters_dict())
 
     def _check_buffer_bounds(self) -> None:
-        buffer = self.system.buffer
-        capacity = getattr(buffer, "capacity", None)
-        if capacity is None:
-            return
-        occupancy = len(buffer)
-        if occupancy > capacity:
-            self._violate(
-                "buffer_bounds",
-                f"buffer holds {occupancy} frames, capacity "
-                f"{capacity}", occupancy=occupancy, capacity=capacity)
-        for name in ("hits", "misses", "evictions"):
-            value = getattr(buffer, name, 0)
-            if value < 0:
+        for site in self.system.sites:
+            buffer = site.buffer
+            capacity = getattr(buffer, "capacity", None)
+            if capacity is None:
+                continue
+            occupancy = len(buffer)
+            if occupancy > capacity:
                 self._violate(
                     "buffer_bounds",
-                    f"buffer counter {name} is negative ({value})",
-                    counter=name, value=value)
+                    f"buffer holds {occupancy} frames, capacity "
+                    f"{capacity}", occupancy=occupancy, capacity=capacity)
+            for name in ("hits", "misses", "evictions"):
+                value = getattr(buffer, name, 0)
+                if value < 0:
+                    self._violate(
+                        "buffer_bounds",
+                        f"buffer counter {name} is negative ({value})",
+                        counter=name, value=value)
 
     # ------------------------------------------------------------------
     # Evidence

@@ -24,7 +24,7 @@ from repro.distributed.runner import run_distributed_simulation
 from repro.errors import ConfigurationError
 from repro.lockmgr.prevention import DeadlockStrategy
 from repro.metrics.collector import AbortReason
-from repro.metrics.trace import Tracer
+from repro.telemetry.export import TelemetrySession
 from repro.verify.config import VerifyConfig
 
 
@@ -198,7 +198,7 @@ def test_degraded_admission_clamps_surviving_sites():
     from repro.metrics.collector import Collector
     from repro.sim.engine import Simulator
     from repro.sim.rng import RandomStreams
-    from repro.telemetry.sites import DistributedProbeScheduler
+    from repro.telemetry.probes import ProbeScheduler
 
     def run(degraded_admission):
         # Full locality: transactions finish without cross-site work,
@@ -213,7 +213,7 @@ def test_degraded_admission_clamps_surviving_sites():
             params=params, controllers=make_fixed_mpl_sites(3, 12),
             collector=Collector(), sim=sim,
             streams=RandomStreams(params.seed), fault_plan=PLAN)
-        probes = DistributedProbeScheduler(system, interval=0.5)
+        probes = ProbeScheduler(system, interval=0.5)
         probes.start()
         system.start()
         sim.run(until=params.total_time)
@@ -242,10 +242,7 @@ def test_quiesce_invariants_hold_after_recovery():
     from repro.metrics.collector import Collector
     from repro.sim.engine import Simulator
     from repro.sim.rng import RandomStreams
-    from repro.verify.distributed import (
-        DistributedInvariantChecker,
-        check_quiesce,
-    )
+    from repro.verify.invariants import InvariantChecker
 
     params = _failure_params()
     sim = Simulator()
@@ -253,13 +250,13 @@ def test_quiesce_invariants_hold_after_recovery():
         params=params, controllers=make_half_and_half_sites(3),
         collector=Collector(), sim=sim,
         streams=RandomStreams(params.seed), fault_plan=PLAN)
-    checker = DistributedInvariantChecker(VerifyConfig(cadence="sampled"))
+    checker = InvariantChecker(VerifyConfig(cadence="sampled"))
     checker.attach(system)
     system.start()
     sim.run(until=params.total_time)
     assert checker.checks_run > 0
     checker.check_all(context="end of run")
-    check_quiesce(system)
+    system.check_quiesce()
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +305,22 @@ def test_one_site_system_equals_centralized_model():
         == (210, 5, 2244)
 
 
-def _traced_run(system, until):
-    system.tracer = Tracer(capacity=None)
+# What a session with every observer on writes that must not depend on
+# the system kind.  decisions.jsonl does: site controllers are tagged
+# ``@siteN``.
+KIND_INDEPENDENT_EXPORTS = ("probes.jsonl", "trace.jsonl", "spans.jsonl",
+                            "latency.json", "contention.jsonl",
+                            "contention.json", "regimes.json")
+
+
+def _observed_run(system, until, out_dir):
+    session = TelemetrySession(out_dir, profile=False, spans=True,
+                               contention=True, online=True)
+    session.install(system)
     system.start()
     system.sim.run(until=until)
-    return system.sim.events_executed, list(system.tracer)
+    session.finalize()
+    return system.sim.events_executed, list(session.tracer)
 
 
 @pytest.mark.parametrize("strategy", list(DeadlockStrategy),
@@ -323,10 +331,12 @@ def _traced_run(system, until):
     pytest.param(lambda: FixedMPLController(8), id="mpl8"),
 ])
 def test_one_site_system_traces_equal_centralized_model(make_controller,
-                                                        strategy):
+                                                        strategy,
+                                                        tmp_path):
     """One site, zero delay: the distributed system runs the centralized
     lifecycle, so the calendar and every traced lifecycle event match
-    ``DBMSSystem`` driven by the same workload generator."""
+    ``DBMSSystem`` driven by the same workload generator, and so does
+    every export of a telemetry session with all observers on."""
     from repro.dbms.system import DBMSSystem
     from repro.distributed.controllers import PerSiteControllerSet
     from repro.distributed.partition import RangePartition
@@ -347,11 +357,17 @@ def test_one_site_system_traces_equal_centralized_model(make_controller,
         workload=DistributedWorkload(streams, params,
                                      RangePartition(params.db_size, 1)),
         streams=streams, deadlock_strategy=strategy)
-    dist_events, dist_records = _traced_run(dist, 19.0)
-    cent_events, cent_records = _traced_run(cent, 19.0)
+    dist_events, dist_records = _observed_run(dist, 19.0,
+                                              tmp_path / "dist")
+    cent_events, cent_records = _observed_run(cent, 19.0,
+                                              tmp_path / "cent")
     assert dist_events == cent_events
     assert dist_records == cent_records
     assert dist.collector.commits > 0 and dist.collector.aborts > 0
+    for name in KIND_INDEPENDENT_EXPORTS:
+        assert ((tmp_path / "dist" / name).read_bytes()
+                == (tmp_path / "cent" / name).read_bytes()), name
+    assert not (tmp_path / "cent" / "site_probes.jsonl").exists()
 
 
 # ----------------------------------------------------------------------

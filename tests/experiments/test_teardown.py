@@ -114,24 +114,35 @@ def test_post_run_reads_still_work():
     assert system.controller.system is None
 
 
-@pytest.mark.parametrize("verified", [False, True],
-                         ids=["plain", "verified"])
-def test_distributed_run_leaves_no_cyclic_garbage(capture_system,
-                                                  verified):
+@pytest.mark.parametrize("verified, observed",
+                         [(False, False), (True, False), (True, True)],
+                         ids=["plain", "verified", "observed"])
+def test_distributed_run_leaves_no_cyclic_garbage(capture_system, tmp_path,
+                                                  verified, observed):
     from repro.distributed.config import DistributedParameters
     from repro.distributed.controllers import make_half_and_half_sites
     from repro.distributed.runner import run_distributed_simulation
+    from repro.telemetry import TelemetrySession
     from repro.verify import VerifyConfig
     params = DistributedParameters(
         num_sites=3, locality=0.8, failure_model=True, num_terms=30,
         db_size=300, warmup_time=2.0, num_batches=2, batch_time=4.0)
     verify = VerifyConfig() if verified else None
+    runs = []
 
     def run():
+        # Every observer: spans (on every home ready queue), contention,
+        # online, the checker and every site's shadow lock table.
+        session = (TelemetrySession(tmp_path / f"run{len(runs)}",
+                                    spans=True, contention=True,
+                                    online=True)
+                   if observed else None)
         run_distributed_simulation(params, make_half_and_half_sites(3),
-                                   verify=verify)
+                                   telemetry=session, verify=verify)
+        runs.append(session)
 
     assert _cyclic_garbage(run) == 0
+    runs.clear()
     assert capture_system[-1]() is None
 
 

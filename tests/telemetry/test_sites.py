@@ -1,5 +1,5 @@
-"""Tests for per-site telemetry on distributed runs:
-``install_distributed``, the site probe stream, and the sites report."""
+"""Tests for telemetry on distributed runs: the session's observers,
+the site probe stream, and the sites report."""
 
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import make_half_and_half_sites
 from repro.distributed.failures import SiteFaultPlan
 from repro.distributed.runner import run_distributed_simulation
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ExperimentError
 from repro.telemetry import (
     TelemetryConfig,
     render_sites_report,
     validate_run_dir,
 )
+from repro.verify import VerifyConfig
 
 PLAN = SiteFaultPlan.parse("crash@1:8:4; part@8:4:0-1|2")
 
@@ -114,10 +115,26 @@ def test_sites_report_requires_site_probes(tmp_path):
         render_sites_report(tmp_path)
 
 
-@pytest.mark.parametrize("flag", ["spans", "contention", "online"])
-def test_single_site_only_streams_are_rejected(tmp_path, flag):
-    config = TelemetryConfig(root=str(tmp_path), **{flag: True})
-    with pytest.raises(ConfigurationError):
-        run_distributed_simulation(
-            _params(), make_half_and_half_sites(3), fault_plan=PLAN,
-            telemetry=config.session_for("rejected"))
+def test_every_observer_exports_on_a_faulted_four_site_run(tmp_path):
+    config = TelemetryConfig(root=str(tmp_path), probe_interval=0.5,
+                             spans=True, contention=True, online=True)
+    plan = SiteFaultPlan.parse("crash@1:8:4; part@8:4:0-1|2-3")
+    run_distributed_simulation(
+        _params(num_sites=4, num_terms=40, db_size=400),
+        make_half_and_half_sites(4), fault_plan=plan,
+        telemetry=config.session_for("all"), verify=VerifyConfig())
+    run_dir = tmp_path / "all"
+    for name in ("spans.jsonl", "latency.json", "contention.jsonl",
+                 "contention.json", "regimes.json", "site_probes.jsonl"):
+        assert (run_dir / name).stat().st_size > 0, name
+    assert validate_run_dir(run_dir) == []
+    spans = [json.loads(line) for line in
+             (run_dir / "spans.jsonl").read_text().splitlines()]
+    # Lock waits carry their blocker and wait-chain depth, read from
+    # the union lock view.
+    waits = [row for row in spans if row["kind"] == "lock_wait"]
+    assert waits and all(row["depth"] >= 1 for row in waits)
+    assert all(row["blocker"] is not None for row in waits)
+    contention = [json.loads(line) for line in
+                  (run_dir / "contention.jsonl").read_text().splitlines()]
+    assert any(row["waiters"] > 0 for row in contention)

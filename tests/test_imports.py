@@ -131,11 +131,14 @@ assert validate_run_dir(out) == []
 """
 
 
-# What the ``observed`` configuration (every single-site observer but
-# the perf profiler, plus verification) must not load: OpenSSL behind
-# hashlib, and the perf profiler with tracemalloc.
+# What the ``observed`` configuration (every observer but the perf
+# profiler, plus verification, on a centralized run) must not load:
+# OpenSSL behind hashlib, the perf profiler with tracemalloc, and the
+# distributed model with its site-probe rows — the observers serve both
+# system kinds without importing the distributed one.
 NOT_OBSERVED = ("hashlib", "_hashlib", "tracemalloc",
-                "repro.telemetry.perf", "repro.telemetry.sites")
+                "repro.telemetry.perf", "repro.telemetry.sites",
+                "repro.distributed")
 
 
 def test_an_observed_run_loads_no_openssl_or_perf_profiler(tmp_path):
@@ -143,7 +146,7 @@ def test_an_observed_run_loads_no_openssl_or_perf_profiler(tmp_path):
         tmp_path, "spans=True, contention=True, online=True",
         verify="VerifyConfig()"))
     assert "repro.telemetry.spans" in loaded
-    assert sorted(m for m in NOT_OBSERVED if m in loaded) == []
+    assert sorted(m for m in loaded if _under(m, NOT_OBSERVED)) == []
 
 
 def test_a_default_session_loads_no_optional_observer(tmp_path):

@@ -1,4 +1,5 @@
-"""Tests for the distributed invariant oracle and quiesce checks."""
+"""The invariant checker, shadow lock tables and quiesce checks on
+distributed runs."""
 
 from __future__ import annotations
 
@@ -15,15 +16,13 @@ from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import make_half_and_half_sites
 from repro.distributed.failures import SiteFaultPlan
 from repro.distributed.system import DistributedSystem
-from repro.errors import InvariantViolation
+from repro.errors import InvariantViolation, ShadowDivergence
 from repro.metrics.collector import Collector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.verify import VerifyConfig
-from repro.verify.distributed import (
-    DistributedInvariantChecker,
-    check_quiesce,
-)
+from repro.verify.invariants import InvariantChecker, attach_verifier
+from repro.verify.shadow import ShadowLockTable
 
 PLAN = SiteFaultPlan.parse("crash@1:8:4; part@8:4:0-1|2")
 
@@ -38,7 +37,7 @@ def _run_checked(fault_plan=None, cadence="sampled", until=None):
         params=params, controllers=make_half_and_half_sites(3),
         collector=Collector(), sim=sim,
         streams=RandomStreams(params.seed), fault_plan=fault_plan)
-    checker = DistributedInvariantChecker(
+    checker = InvariantChecker(
         VerifyConfig(cadence=cadence, sample_events=128))
     checker.attach(system)
     system.start()
@@ -51,21 +50,35 @@ def test_clean_run_passes_full_catalog():
     assert checker.checks_run > 0
     assert checker.violations == 0
     checker.check_all(context="end of run")
-    check_quiesce(system)
+    system.check_quiesce()
 
 
 def test_faulted_run_passes_full_catalog():
     system, checker = _run_checked(fault_plan=PLAN)
     assert checker.checks_run > 0
     checker.check_all(context="end of run")
-    check_quiesce(system)
+    system.check_quiesce()
 
 
-def test_default_config_is_usable():
-    # VerifyConfig() enables the (single-site) shadow lock table; the
-    # distributed checker must ignore that switch, not reject it.
-    checker = DistributedInvariantChecker(VerifyConfig())
-    assert checker.config.shadow_lock_table
+def test_shadow_lock_tables_catch_a_site_divergence():
+    # VerifyConfig() shadows every site's lock table: state corrupted in
+    # one site's real table, outside the mutation API, must surface.
+    params = DistributedParameters(
+        num_sites=3, num_terms=30, db_size=300,
+        warmup_time=3.0, num_batches=2, batch_time=8.0,
+        failure_model=True, msg_loss_prob=0.02)
+    system = DistributedSystem(params=params,
+                               controllers=make_half_and_half_sites(3))
+    attach_verifier(system, VerifyConfig())
+    assert all(isinstance(site.lock_table, ShadowLockTable)
+               for site in system.sites)
+    system.start()
+    system.sim.run(until=5.0)
+    table = system.sites[1].lock_table
+    table.requests += 1                 # a request the reference lacks
+    with pytest.raises(ShadowDivergence, match="statistics diverged"):
+        system.sim.run(until=params.total_time)
+    assert system.sites[0].lock_table.ops_checked > 0
 
 
 def test_population_leak_is_caught():
@@ -106,7 +119,7 @@ from repro.metrics.collector import Collector
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.verify.config import VerifyConfig
-from repro.verify.distributed import DistributedInvariantChecker
+from repro.verify.invariants import InvariantChecker
 
 params = DistributedParameters(
     num_sites=3, num_terms=30, db_size=300, warmup_time=3.0,
@@ -115,7 +128,7 @@ sim = Simulator()
 system = DistributedSystem(
     params=params, controllers=make_half_and_half_sites(3),
     collector=Collector(), sim=sim, streams=RandomStreams(params.seed))
-checker = DistributedInvariantChecker(VerifyConfig())
+checker = InvariantChecker(VerifyConfig())
 checker.attach(system)
 system.start()
 sim.run(until=5.0)
@@ -150,7 +163,7 @@ def test_quiesce_rejects_parked_work_when_all_sites_up():
     system, _ = _run_checked()
     system._parked_terminals.setdefault(1, []).append(7)
     with pytest.raises(InvariantViolation) as exc:
-        check_quiesce(system)
+        system.check_quiesce()
     assert exc.value.invariant == "quiesce_no_parked_work"
 
 
@@ -158,9 +171,18 @@ def test_quiesce_is_not_binding_while_a_site_is_down():
     # End the run inside the crash window: parked work is legitimate.
     system, _ = _run_checked(fault_plan=PLAN, until=10.0)
     assert not all(system._site_up)
-    check_quiesce(system)                   # must not raise
+    system.check_quiesce()                   # must not raise
 
 
 def test_every_cadence_checks_every_event():
     _, checker = _run_checked(cadence="every", until=5.0)
     assert checker.checks_run == checker.events_seen
+
+
+def test_commit_cadence_checks_every_commit():
+    # Commits reach the checker through DBMSSystem._commit, also the
+    # ones decided by 2PC across the crash and partition windows.
+    system, checker = _run_checked(fault_plan=PLAN, cadence="commit")
+    assert system.collector.commits > 0
+    assert checker.checks_run == system.collector.commits
+    assert checker.events_seen == 0
