@@ -93,7 +93,8 @@ class StateTracker:
 
     def remove(self, txn: "Transaction", now: float) -> None:
         """Remove a transaction from the active set (commit or abort)."""
-        self._require_active(txn, now)
+        if txn not in self._active:
+            raise self._not_active(txn, now)
         self._active.remove(txn)
         self.n_active -= 1
         self._bucket_delta(txn, -1)
@@ -101,32 +102,59 @@ class StateTracker:
 
     def set_blocked(self, txn: "Transaction", blocked: bool,
                     now: float) -> None:
-        """Flip the running/blocked axis."""
-        self._require_active(txn, now)
+        """Flip the running/blocked axis.
+
+        Moves one count between two buckets in one step (no
+        ``_bucket_delta`` pair): this runs at every block and unblock.
+        """
+        if txn not in self._active:
+            raise self._not_active(txn, now)
         if txn.is_blocked == blocked:
             return
-        self._bucket_delta(txn, -1)
         txn.is_blocked = blocked
-        self._bucket_delta(txn, +1)
-        self._publish(now)
+        if txn.is_mature:
+            if blocked:
+                self.n_state1 -= 1
+                self.n_state3 += 1
+            else:
+                self.n_state3 -= 1
+                self.n_state1 += 1
+        elif blocked:
+            self.n_state2 -= 1
+            self.n_state4 += 1
+        else:
+            self.n_state4 -= 1
+            self.n_state2 += 1
+        if self._collector is not None:
+            self._collector.set_populations(
+                now, self.n_active, self.n_state1, self.n_state2,
+                self.n_state3, self.n_state4)
 
     def set_mature(self, txn: "Transaction", now: float) -> None:
         """Mark a transaction mature (irreversible within an attempt)."""
-        self._require_active(txn, now)
+        if txn not in self._active:
+            raise self._not_active(txn, now)
         if txn.is_mature:
             return
-        self._bucket_delta(txn, -1)
         txn.is_mature = True
-        self._bucket_delta(txn, +1)
-        self._publish(now)
+        if txn.is_blocked:
+            self.n_state4 -= 1
+            self.n_state3 += 1
+        else:
+            self.n_state2 -= 1
+            self.n_state1 += 1
+        if self._collector is not None:
+            self._collector.set_populations(
+                now, self.n_active, self.n_state1, self.n_state2,
+                self.n_state3, self.n_state4)
 
     # ------------------------------------------------------------------
 
-    def _require_active(self, txn: "Transaction", now: float) -> None:
-        if txn not in self._active:
-            raise InvariantViolation(
-                f"{txn!r} not active", invariant="tracker_membership",
-                sim_time=now)
+    @staticmethod
+    def _not_active(txn: "Transaction", now: float) -> InvariantViolation:
+        return InvariantViolation(
+            f"{txn!r} not active", invariant="tracker_membership",
+            sim_time=now)
 
     def _bucket_delta(self, txn: "Transaction", delta: int) -> None:
         if txn.is_blocked:

@@ -43,7 +43,7 @@ class Transaction:
         "readset", "writeset", "lock_protocol",
         "estimated_locks", "maturity_threshold",
         "phase", "step_index", "locks_completed", "is_mature", "is_blocked",
-        "pending_updates", "wounded", "doomed",
+        "pending_updates", "killed", "doomed",
         "restarts", "admitted_at", "attempt_reads", "attempt_writes",
     )
 
@@ -68,9 +68,11 @@ class Transaction:
         self.locks_completed = 0            # granted lock requests so far
         self.is_mature = False
         self.is_blocked = False
-        self.wounded = False                # wound-wait: abort at checkpoint
-        self.doomed: Optional[str] = None   # failure model: abort at
-        #                                     checkpoint with this reason
+        # Abort at the next checkpoint: set by a wound (wound-wait) and
+        # by :meth:`doom`.  The abort reason is ``doomed`` when set (the
+        # failure model), else a wound.
+        self.killed = False
+        self.doomed: Optional[str] = None
         self.pending_updates: List[int] = []  # dirty pages left to flush
         self.restarts = 0
         self.admitted_at: Optional[float] = None
@@ -114,6 +116,12 @@ class Transaction:
         """True once every readset page has been processed."""
         return self.step_index >= len(self.readset)
 
+    def doom(self, reason: str) -> None:
+        """Flag the transaction to abort with ``reason`` at its next
+        checkpoint, whether or not it is also wounded."""
+        self.doomed = reason
+        self.killed = True
+
     def reset_for_restart(self) -> None:
         """Rewind execution state after an abort (plan is preserved)."""
         self.phase = TxnPhase.READY
@@ -121,7 +129,7 @@ class Transaction:
         self.locks_completed = 0
         self.is_mature = False
         self.is_blocked = False
-        self.wounded = False
+        self.killed = False
         self.doomed = None
         self.pending_updates = []
         self.restarts += 1

@@ -255,7 +255,8 @@ class _ClusterTracker(StateTracker):
 
     def set_blocked(self, txn: Transaction, blocked: bool,
                     now: float) -> None:
-        self._require_active(txn, now)
+        if txn not in self._active:
+            raise self._not_active(txn, now)
         if txn.is_blocked == blocked:
             return
         self._bucket_delta(txn, -1)
@@ -265,7 +266,8 @@ class _ClusterTracker(StateTracker):
         self._publish(now)
 
     def set_mature(self, txn: Transaction, now: float) -> None:
-        self._require_active(txn, now)
+        if txn not in self._active:
+            raise self._not_active(txn, now)
         if txn.is_mature:
             return
         self._bucket_delta(txn, -1)
@@ -914,9 +916,9 @@ class DistributedSystem(DBMSSystem):
                 self.abort_transaction(txn, AbortReason.SITE_CRASH)
                 continue
             # Running somewhere: flag for abort at the next checkpoint
-            # (the wounded-flag discipline), but the crashed site's
+            # (the kill-flag discipline), but the crashed site's
             # locks vanish now.
-            txn.doomed = AbortReason.SITE_CRASH
+            txn.doom(AbortReason.SITE_CRASH)
             if held_here:
                 self._release_at(txn, site)
 

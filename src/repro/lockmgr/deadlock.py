@@ -33,36 +33,33 @@ def find_cycle(lock_table: LockTable, start: Txn) -> Optional[List[Txn]]:
     contains each cycle member once).
     """
     # DFS with explicit stack; path tracks the current chain from start.
+    # ``visited`` holds transactions themselves, as the lock table's
+    # dicts do.  Everything on the path has been visited, so one
+    # ``visited`` test covers both skips below.
     path: List[Txn] = [start]
-    on_path = {id(start)}
     iter_stack = [iter(lock_table.blocking_order(start))]
-    visited = {id(start)}
+    visited = {start}
     while iter_stack:
-        advanced = False
         for nxt in iter_stack[-1]:
             if nxt is start:
                 # Completed a cycle back to the start node.
                 return list(path)
-            if id(nxt) in on_path:
-                # A cycle not through ``start``; it existed before this
-                # block (or involves only downstream txns).  Detection at
-                # block time only reports cycles through the new waiter, so
-                # skip — such cycles were resolved when they formed.
+            if nxt in visited:
+                # Either on the path -- a cycle not through ``start``,
+                # which existed before this block (detection at block
+                # time only reports cycles through the new waiter, so
+                # such cycles were resolved when they formed) -- or
+                # already explored.
                 continue
-            if id(nxt) in visited:
-                continue
-            visited.add(id(nxt))
+            visited.add(nxt)
             blockers = lock_table.blocking_order(nxt)
             if not blockers:
                 continue  # running transaction: dead end
             path.append(nxt)
-            on_path.add(id(nxt))
             iter_stack.append(iter(blockers))
-            advanced = True
             break
-        if not advanced:
-            dropped = path.pop()
-            on_path.discard(id(dropped))
+        else:
+            path.pop()
             iter_stack.pop()
     return None
 

@@ -60,6 +60,13 @@ class Grant:
     was_upgrade: bool
 
 
+# Enum members bound to module constants: reading a member off its class
+# goes through the enum metaclass's attribute hook (about 0.1 µs a read
+# on CPython 3.11), and a lock request reads several.
+_S, _X = LockMode.S, LockMode.X
+_GRANTED, _BLOCKED = RequestOutcome.GRANTED, RequestOutcome.BLOCKED
+
+
 class _Lock:
     """State for one page: holders plus two-tier wait queue.
 
@@ -183,7 +190,7 @@ class LockTable:
         lock = self._locks.get(page)
         if lock is None:
             return []
-        modes = [LockMode.X] * len(lock.upgraders)
+        modes = [_X] * len(lock.upgraders)
         modes.extend(mode for _txn, mode in lock.queue)
         return modes
 
@@ -197,8 +204,9 @@ class LockTable:
             lock = self._locks[page]
             if lock.queue:
                 return True
-            if any(up is not txn for up in lock.upgraders):
-                return True
+            for up in lock.upgraders:
+                if up is not txn:
+                    return True
         return False
 
     def blocking_set(self, txn: Txn) -> Set[Txn]:
@@ -241,38 +249,31 @@ class LockTable:
         victim choice) vary between runs of the same seed.  This variant
         lists blockers in lock-table structural order: holders first (in
         grant order), then upgraders, then queued waiters.
+
+        No candidate needs deduplicating: every upgrader holds the page
+        in S, an X holder is the page's only holder, and a queued waiter
+        neither holds the page nor waits twice.  So an upgrader's
+        blockers are the other holders (the upgraders ahead of it among
+        them); an X request's are every holder plus every queued waiter
+        ahead; an S request's are an X holder, the upgraders, and the X
+        requests queued ahead.
         """
         rec = self._waits.get(txn)
         if rec is None:
             return []
         lock = self._locks[rec.page]
-        ordered: List[Txn] = []
-        seen: Set[int] = {id(txn)}
-
-        def _add(candidate: Txn) -> None:
-            if id(candidate) not in seen:
-                seen.add(id(candidate))
-                ordered.append(candidate)
-
         if rec.is_upgrade:
-            for holder in lock.holders:
-                _add(holder)
-            for up in lock.upgraders:
-                if up is txn:
-                    break
-                _add(up)
-            return ordered
-        for holder, held_mode in lock.holders.items():
-            if not compatible(held_mode, rec.mode):
-                _add(holder)
-        for up in lock.upgraders:
-            _add(up)
+            return [holder for holder in lock.holders if holder is not txn]
+        exclusive = rec.mode is _X
+        if exclusive or lock.num_x:
+            ordered = [*lock.holders]
+        else:
+            ordered = [*lock.upgraders]
         for waiter, mode in lock.queue:
             if waiter is txn:
                 break
-            if not (compatible(mode, rec.mode)
-                    and compatible(rec.mode, mode)):
-                _add(waiter)
+            if exclusive or mode is _X:
+                ordered.append(waiter)
         return ordered
 
     def wait_chain_depth(self, txn: Txn, max_depth: int = 64) -> int:
@@ -287,7 +288,7 @@ class LockTable:
         terminates.  Returns 0 if ``txn`` is not waiting.
         """
         depth = 0
-        seen: Set[int] = {id(txn)}
+        seen: Set[Txn] = {txn}
         cur = txn
         while depth < max_depth:
             order = self.blocking_order(cur)
@@ -295,9 +296,9 @@ class LockTable:
                 break
             depth += 1
             nxt = order[0]
-            if id(nxt) in seen:
+            if nxt in seen:
                 break
-            seen.add(id(nxt))
+            seen.add(nxt)
             cur = nxt
         return depth
 
@@ -368,9 +369,9 @@ class LockTable:
 
         held_mode = lock.holders.get(txn)
         if held_mode is not None:
-            if mode is LockMode.S or held_mode is LockMode.X:
+            if mode is _S or held_mode is _X:
                 # Re-request in an already-covered mode: no-op grant.
-                return RequestOutcome.GRANTED
+                return _GRANTED
             # S held, X requested: upgrade path.
             return self._request_upgrade(txn, page, lock)
 
@@ -379,11 +380,11 @@ class LockTable:
         # S/X modes that compatibility collapses to a counter test: S
         # coexists with anything but an X holder, X needs the page free.
         if (not lock.upgraders and not lock.queue
-                and (lock.num_x == 0 if mode is LockMode.S
+                and (lock.num_x == 0 if mode is _S
                      else not lock.holders)):
             # _grant(), inlined: most requests take this branch.
             lock.holders[txn] = mode
-            if mode is LockMode.S:
+            if mode is _S:
                 lock.num_s += 1
             else:
                 lock.num_x += 1
@@ -391,29 +392,29 @@ class LockTable:
             if held is None:
                 held = self._held[txn] = {}
             held[page] = None
-            return RequestOutcome.GRANTED
+            return _GRANTED
         lock.queue.append((txn, mode))
         self._waits[txn] = _WaitRecord(page, mode, is_upgrade=False)
         self.blocks += 1
-        return RequestOutcome.BLOCKED
+        return _BLOCKED
 
     def _request_upgrade(self, txn: Txn, page: Page,
                          lock: _Lock) -> RequestOutcome:
         self.upgrades_requested += 1
         if len(lock.holders) == 1:
-            lock.holders[txn] = LockMode.X
+            lock.holders[txn] = _X
             lock.num_s -= 1
             lock.num_x += 1
-            return RequestOutcome.GRANTED
+            return _GRANTED
         lock.upgraders.append(txn)
-        self._waits[txn] = _WaitRecord(page, LockMode.X, is_upgrade=True)
+        self._waits[txn] = _WaitRecord(page, _X, is_upgrade=True)
         self.blocks += 1
-        return RequestOutcome.BLOCKED
+        return _BLOCKED
 
     def _grant(self, txn: Txn, page: Page, lock: _Lock,
                mode: LockMode) -> None:
         lock.holders[txn] = mode
-        if mode is LockMode.S:
+        if mode is _S:
             lock.num_s += 1
         else:
             lock.num_x += 1
@@ -449,14 +450,25 @@ class LockTable:
         Used at commit (release after deferred updates) and at abort.
         Returns all requests across all pages that became grantable.
         """
-        grants: List[Grant] = []
-        grants.extend(self.cancel_wait(txn))
-        for page in list(self._held.get(txn, ())):
-            lock = self._locks[page]
-            self._drop_holder(lock, txn)
-            grants.extend(self._promote_waiters(page, lock))
-            self._gc(page, lock)
-        self._held.pop(txn, None)
+        grants = self.cancel_wait(txn) if txn in self._waits else []
+        held = self._held.pop(txn, None)
+        if held is None:
+            return grants
+        locks = self._locks
+        # _drop_holder, _promote_waiters and _gc per page, inlined: this
+        # runs at every commit and abort.  Promotion runs only where
+        # someone waits; where nobody does, a page with no holder left
+        # has an empty entry.
+        for page in held:
+            lock = locks[page]
+            if lock.holders.pop(txn) is _S:
+                lock.num_s -= 1
+            else:
+                lock.num_x -= 1
+            if lock.upgraders or lock.queue:
+                grants += self._promote_waiters(page, lock)
+            elif not lock.holders:
+                del locks[page]
         return grants
 
     def cancel_wait(self, txn: Txn) -> List[Grant]:
@@ -489,11 +501,11 @@ class LockTable:
             up = lock.upgraders[0]
             if len(lock.holders) == 1 and up in lock.holders:
                 lock.upgraders.popleft()
-                lock.holders[up] = LockMode.X
+                lock.holders[up] = _X
                 lock.num_s -= 1
                 lock.num_x += 1
                 del self._waits[up]
-                grants.append(Grant(up, page, LockMode.X, was_upgrade=True))
+                grants.append(Grant(up, page, _X, was_upgrade=True))
             else:
                 # A waiting upgrader suppresses all ordinary grants.
                 return grants
@@ -501,7 +513,7 @@ class LockTable:
             txn, mode = lock.queue[0]
             # Counter form of "compatible with every holder" (see
             # request()): O(1) per head-of-queue test.
-            if (lock.num_x == 0 if mode is LockMode.S
+            if (lock.num_x == 0 if mode is _S
                     else not lock.holders):
                 lock.queue.popleft()
                 self._grant(txn, page, lock, mode)
@@ -514,7 +526,7 @@ class LockTable:
     @staticmethod
     def _drop_holder(lock: _Lock, txn: Txn) -> None:
         """Remove ``txn`` from a lock's holders, keeping the counters."""
-        if lock.holders.pop(txn) is LockMode.S:
+        if lock.holders.pop(txn) is _S:
             lock.num_s -= 1
         else:
             lock.num_x -= 1
@@ -553,7 +565,7 @@ class LockTable:
                 for m2 in modes[i + 1:]:
                     if not compatible(m1, m2):
                         violate(f"incompatible holders on page {page!r}")
-            num_s = sum(1 for m in modes if m is LockMode.S)
+            num_s = sum(1 for m in modes if m is _S)
             num_x = len(modes) - num_s
             if lock.num_s != num_s or lock.num_x != num_x:
                 violate(
@@ -561,7 +573,7 @@ class LockTable:
                     f" disagree with a recount ({num_s}S, {num_x}X) "
                     f"on page {page!r}")
             for up in lock.upgraders:
-                if lock.holders.get(up) is not LockMode.S:
+                if lock.holders.get(up) is not _S:
                     violate(f"upgrader {up!r} does not hold S "
                             f"on page {page!r}")
                 if up in seen_waiting:

@@ -13,15 +13,12 @@ a plain 5-element list — a *slot*::
 
     [time, seq, callback, args, handle]
 
-Two properties make this the fast representation in CPython:
-
-* **C-level ordering.**  ``heapq`` compares entries with ``<``; list
-  comparison runs element-wise in C, so an entire sift step costs no
-  Python-level calls.  Sequence numbers are unique, so a comparison never
-  proceeds past ``seq`` (callbacks are never compared).
-* **A slot pool.**  Fired and discarded slots are recycled through a free
-  list instead of being reallocated, cutting per-event allocation churn
-  to the ``args`` tuple the caller builds anyway.
+``heapq`` compares entries with ``<``; list comparison runs element-wise
+in C, so an entire sift step costs no Python-level calls.  Sequence
+numbers are unique, so a comparison never proceeds past ``seq``
+(callbacks are never compared).  A slot is built fresh per event: a
+free list of fired slots would cost a ``pop`` and an ``append`` per
+event, more than the small-list allocation it saves.
 
 :class:`Event` is now purely a *cancellation handle*: :meth:`Simulator.
 schedule` returns one, :meth:`Simulator.post` (the hot-path variant used
@@ -118,12 +115,17 @@ class Event:
 
 
 class Simulator:
-    """Event-calendar simulator with a monotonically advancing clock."""
+    """Event-calendar simulator with a monotonically advancing clock.
+
+    ``now`` is the clock, a plain attribute so the model reads it
+    without a call.  Only :meth:`run` writes it; nothing else in the
+    package may (``tests/sim/test_engine.py`` checks the source).
+    """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        # Current simulation time in (simulated) seconds.
+        self.now = 0.0
         self._heap: List[list] = []
-        self._pool: List[list] = []   # recycled slots
         self._dead = 0                # cancelled slots still in the heap
         self._seq = 0
         self._running = False
@@ -148,11 +150,6 @@ class Simulator:
         # event when disabled.
         self.monitor = None
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in (simulated) seconds."""
-        return self._now
-
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the calendar (O(1))."""
         return len(self._heap) - self._dead
@@ -166,20 +163,6 @@ class Simulator:
             if callback is not None:
                 yield callback
 
-    def _new_slot(self, time: float, callback: Callable[..., Any],
-                  args: tuple) -> list:
-        self._seq += 1
-        pool = self._pool
-        if pool:
-            slot = pool.pop()
-            slot[_TIME] = time
-            slot[_SEQ] = self._seq
-            slot[_CALLBACK] = callback
-            slot[_ARGS] = args
-        else:
-            slot = [time, self._seq, callback, args, None]
-        return slot
-
     def schedule(self, delay: float,
                  callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
@@ -190,10 +173,10 @@ class Simulator:
         if delay < 0.0:
             raise SimulationError(
                 f"cannot schedule event {delay} seconds in the past")
-        time = self._now + delay
-        slot = self._new_slot(time, callback, args)
-        ev = Event(time, slot[_SEQ], self, slot)
-        slot[_HANDLE] = ev
+        time = self.now + delay
+        self._seq += 1
+        slot = [time, self._seq, callback, args, None]
+        ev = slot[_HANDLE] = Event(time, self._seq, self, slot)
         heapq.heappush(self._heap, slot)
         return ev
 
@@ -210,19 +193,9 @@ class Simulator:
         if delay < 0.0:
             raise SimulationError(
                 f"cannot schedule event {delay} seconds in the past")
-        # _new_slot, inlined: post() runs once per executed event, and
-        # the extra call shows up at bench scale.
         self._seq += 1
-        pool = self._pool
-        if pool:
-            slot = pool.pop()
-            slot[0] = self._now + delay
-            slot[1] = self._seq
-            slot[2] = callback
-            slot[3] = args
-        else:
-            slot = [self._now + delay, self._seq, callback, args, None]
-        heapq.heappush(self._heap, slot)
+        heapq.heappush(self._heap,
+                       [self.now + delay, self._seq, callback, args, None])
 
     def schedule_at(self, time: float,
                     callback: Callable[..., Any], *args: Any) -> Event:
@@ -234,10 +207,10 @@ class Simulator:
         are clamped to "now".  Genuinely past times still raise
         :class:`SimulationError`.
         """
-        delay = time - self._now
+        delay = time - self.now
         if delay < 0.0:
             tolerance = _SCHEDULE_EPSILON * max(
-                1.0, abs(time), abs(self._now))
+                1.0, abs(time), abs(self.now))
             if delay >= -tolerance:
                 delay = 0.0
         return self.schedule(delay, callback, *args)
@@ -257,19 +230,13 @@ class Simulator:
         amortized cost per cancellation is constant.  Fire order is
         unaffected: live slots keep their (time, seq) keys.
         """
-        pool = self._pool
-        live: List[list] = []
-        for slot in self._heap:
-            if slot[_CALLBACK] is not None:
-                live.append(slot)
-            else:
-                pool.append(slot)
+        live = [slot for slot in self._heap if slot[_CALLBACK] is not None]
         heapq.heapify(live)
         self._heap = live
         self._dead = 0
 
     def clear(self) -> None:
-        """Drop every pending event and the slot pool.
+        """Drop every pending event.
 
         For a finished run: the calendar's callbacks are bound methods
         of the model, which holds the simulator, so a calendar left
@@ -286,7 +253,6 @@ class Simulator:
                 handle._sim = None
             slot[_CALLBACK] = slot[_ARGS] = slot[_HANDLE] = None
         self._heap = []
-        self._pool = []
         self._dead = 0
 
     def stop(self) -> None:
@@ -315,7 +281,6 @@ class Simulator:
         # None sentinels become +inf bounds so the loop pays one compare
         # instead of an `is not None` check plus a compare.
         heap = self._heap
-        pool = self._pool
         heappop = heapq.heappop
         profiler = self.profiler
         monitor = self.monitor
@@ -329,7 +294,7 @@ class Simulator:
                 slot = heap[0]
                 callback = slot[2]
                 if callback is None:      # cancelled: lazy deletion
-                    pool.append(heappop(heap))
+                    heappop(heap)
                     self._dead -= 1
                     continue
                 time = slot[0]
@@ -339,21 +304,14 @@ class Simulator:
                     hit_max = True
                     break
                 heappop(heap)
-                self._now = time
+                self.now = time
                 args = slot[3]
                 handle = slot[4]
                 if handle is not None:
                     # Detach the handle so a late cancel() is a no-op
-                    # rather than corrupting the recycled slot.
+                    # rather than counting a fired event as cancelled.
                     handle._slot = None
                     handle._sim = None
-                    slot[4] = None
-                # Recycle the slot before running the callback; clearing
-                # the references also keeps fired events from pinning
-                # model objects through the pool.
-                slot[2] = None
-                slot[3] = None
-                pool.append(slot)
                 try:
                     if profiler is None:
                         callback(*args)
@@ -375,7 +333,7 @@ class Simulator:
                     name = getattr(callback, "__qualname__", repr(callback))
                     raise SimulationError(
                         f"event callback {name} raised at simulated "
-                        f"time {self._now:.6f} (event #{fired + 1}): "
+                        f"time {self.now:.6f} (event #{fired + 1}): "
                         f"{type(exc).__name__}: {exc}") from exc
                 fired += 1
                 if monitor is not None:
@@ -383,12 +341,12 @@ class Simulator:
         finally:
             self._running = False
             self.events_executed += fired
-        if (until is not None and self._now < until
+        if (until is not None and self.now < until
                 and not self._stopped and not hit_max):
             # Exhausted the calendar before the horizon: advance the clock so
             # repeated run(until=...) calls measure real elapsed sim time.
             # Not done when the max_events valve tripped — events are still
             # pending before the horizon, so jumping the clock to `until`
             # would corrupt subsequent run(until=...) accounting.
-            self._now = until
+            self.now = until
         return fired

@@ -44,6 +44,9 @@ class DiskArray:
         self._sim = sim
         self.num_disks = num_disks
         self._disks: List[_Disk] = [_Disk() for _ in range(num_disks)]
+        # Bits per draw of access_random's disk index, as
+        # Random._randbelow computes it per call.
+        self._index_bits = num_disks.bit_length()
         # Transient degradation knob (see repro.faultinject.system):
         # accesses issued while the scale is s take s times longer.
         # Applied at access time; queued/in-service work is unaffected.
@@ -112,15 +115,21 @@ class DiskArray:
         consumption as the two-call form — and skips the index range
         check (the index is generated in range by construction).
         ``randrange(n)`` for a positive int n is a validating wrapper
-        around ``Random._randbelow(n)``; calling the latter directly
-        consumes identical random bits, so trajectories stay
-        bit-identical to :meth:`choose_disk`.
+        around ``Random._randbelow(n)``, a rejection loop over
+        ``getrandbits(n.bit_length())``; the loop is spelled out here
+        with the bit count computed once, so it consumes identical
+        random bits and trajectories stay bit-identical to
+        :meth:`choose_disk`.
         """
         if service_time < 0.0:
             raise ConfigurationError(
                 f"negative disk service time: {service_time}")
         service_time *= self.service_scale
-        disk = self._disks[rng._randbelow(self.num_disks)]
+        num_disks = self.num_disks
+        index = rng.getrandbits(self._index_bits)
+        while index >= num_disks:
+            index = rng.getrandbits(self._index_bits)
+        disk = self._disks[index]
         if disk.busy:
             disk.queue.append((service_time, callback, args))
         else:

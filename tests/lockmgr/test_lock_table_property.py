@@ -3,7 +3,7 @@ legal sequence of requests, releases, and wait-cancellations."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.lockmgr.lock_table import LockTable, RequestOutcome
@@ -120,3 +120,33 @@ def test_property_blocked_outcome_iff_wait_recorded(ops):
         else:
             table.cancel_wait(txn)
             assert not table.is_waiting(txn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops)
+@example([("request", 0, 0, False), ("request", 1, 0, False),
+          ("request", 2, 0, False), ("request", 0, 0, True),
+          ("request", 3, 0, False), ("request", 4, 0, True),
+          ("request", 1, 0, True), ("cancel_wait", 0, 0, False),
+          ("release_all", 2, 0, False)])
+def test_property_blocking_order_is_blocking_set(ops):
+    """After every operation, each waiter's deterministic blocking order
+    (upgraders' included) lists its blocking set exactly once and never
+    the waiter itself."""
+    table = LockTable()
+    txns = [T(i) for i in range(6)]
+    for op, ti, page, is_x in ops:
+        txn = txns[ti]
+        if op == "request":
+            if table.is_waiting(txn):
+                continue
+            table.request(txn, page, LockMode.X if is_x else LockMode.S)
+        elif op == "release_all":
+            table.release_all(txn)
+        else:
+            table.cancel_wait(txn)
+        for waiter in table.waiting_transactions():
+            order = table.blocking_order(waiter)
+            assert len(order) == len(set(order)), order
+            assert waiter not in order
+            assert set(order) == table.blocking_set(waiter)

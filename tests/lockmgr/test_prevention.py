@@ -126,6 +126,45 @@ def test_wounded_flag_reset_on_restart():
     from repro.dbms.transaction import Transaction
     txn = Transaction(txn_id=1, terminal_id=0, timestamp=0.0,
                       readset=[1], writeset=set())
-    txn.wounded = True
+    txn.killed = True           # what a wound sets
     txn.reset_for_restart()
-    assert not txn.wounded
+    assert not txn.killed
+
+
+@pytest.mark.parametrize("doom_first", [False, True])
+def test_doomed_wins_over_wounded_at_checkpoint(doom_first):
+    """A running transaction flagged by both causes aborts once, at its
+    next checkpoint, with the doomed reason -- whichever flag came
+    first."""
+    from repro.metrics.collector import AbortReason
+    params = SimulationParameters(num_terms=4, db_size=400, tran_size=4,
+                                  write_prob=0.5, warmup_time=0.0,
+                                  num_batches=1, batch_time=2.0)
+    system = DBMSSystem(params=params, controller=NoControlController(),
+                        deadlock_strategy=DeadlockStrategy.WOUND_WAIT)
+    aborts = []
+    abort_transaction = system.abort_transaction
+
+    def recording_abort(txn, reason):
+        aborts.append((txn, reason))
+        abort_transaction(txn, reason)
+
+    system.abort_transaction = recording_abort
+    system.start()
+    victim = None
+    while victim is None:
+        assert system.sim.run(max_events=1) == 1
+        victim = next((t for t in system.tracker.active_transactions()
+                       if t.locks_completed
+                       and not system.lock_table.is_waiting(t)), None)
+    if doom_first:
+        victim.doom(AbortReason.SITE_CRASH)
+        assert victim.killed
+    system._wound(victim)
+    assert victim.killed
+    if not doom_first:
+        victim.doom(AbortReason.SITE_CRASH)
+    system.sim.run(until=params.total_time)
+    assert [reason for txn, reason in aborts if txn is victim][:1] == [
+        AbortReason.SITE_CRASH]
+    system.check_invariants()

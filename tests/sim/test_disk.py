@@ -100,3 +100,25 @@ def test_completion_callback_can_reaccess():
     sim.run()
     assert done == ["first", "second"]
     assert sim.now == 2.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 9001])
+def test_access_random_draws_randbelow_stream(seed):
+    """``access_random`` picks the same disk indices as
+    ``Random._randbelow`` and consumes the same random bits, for disk
+    counts on both sides of every power of two."""
+    for num_disks in range(1, 18):
+        sim = Simulator()
+        array = DiskArray(sim, num_disks)
+        rng = random.Random(seed)
+        reference = random.Random(seed)
+        for _ in range(10_000):
+            array.access_random(rng, 1.0, _noop)
+            busy = [i for i, disk in enumerate(array._disks) if disk.busy]
+            assert busy == [reference._randbelow(num_disks)], num_disks
+            array._disks[busy[0]].busy = False
+        assert rng.getstate() == reference.getstate(), num_disks
+
+
+def _noop() -> None:
+    pass

@@ -15,6 +15,36 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
+def test_only_the_engine_assigns_the_clock():
+    """``Simulator.now`` is a writable attribute, so nothing enforces at
+    run time that only the event loop advances it: no module of the
+    package outside the engine may assign an attribute named ``now``."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    import repro.sim.engine as engine
+
+    package = Path(repro.__file__).parent
+    writers = []
+    for path in sorted(package.rglob("*.py")):
+        if path == Path(engine.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "now":
+                        writers.append(f"{path.relative_to(package)}:"
+                                       f"{node.lineno}")
+    assert writers == []
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
