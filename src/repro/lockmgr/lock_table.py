@@ -558,35 +558,46 @@ class LockTable:
             raise InvariantViolation(
                 message, invariant="lock_table_consistency")
 
+        locks, held_index, waits = self._locks, self._held, self._waits
         seen_waiting: Set[Txn] = set()
-        for page, lock in self._locks.items():
-            modes = list(lock.holders.values())
-            for i, m1 in enumerate(modes):
-                for m2 in modes[i + 1:]:
-                    if not compatible(m1, m2):
-                        violate(f"incompatible holders on page {page!r}")
-            num_s = sum(1 for m in modes if m is _S)
-            num_x = len(modes) - num_s
+        for page, lock in locks.items():
+            holders = lock.holders
+            # With only S and X, which mode pairs the holders form
+            # follows from a recount of the modes, so the pairwise test
+            # asks compatible() once per kind of pair present instead
+            # of once per pair: the set is compatible iff num_x == 0,
+            # or num_x == 1 and num_s == 0.
+            num_s = 0
+            for mode in holders.values():
+                if mode is _S:
+                    num_s += 1
+            num_x = len(holders) - num_s
+            if ((num_s > 1 and not compatible(_S, _S))
+                    or (num_x > 1 and not compatible(_X, _X))
+                    or (num_s and num_x
+                        and not (compatible(_S, _X)
+                                 and compatible(_X, _S)))):
+                violate(f"incompatible holders on page {page!r}")
             if lock.num_s != num_s or lock.num_x != num_x:
                 violate(
                     f"holder-mode counters ({lock.num_s}S, {lock.num_x}X)"
                     f" disagree with a recount ({num_s}S, {num_x}X) "
                     f"on page {page!r}")
             for up in lock.upgraders:
-                if lock.holders.get(up) is not _S:
+                if holders.get(up) is not _S:
                     violate(f"upgrader {up!r} does not hold S "
                             f"on page {page!r}")
                 if up in seen_waiting:
                     violate(f"upgrader {up!r} waits in more than "
                             f"one queue")
                 seen_waiting.add(up)
-                if up not in self._waits or self._waits[up].page != page:
+                if up not in waits or waits[up].page != page:
                     violate(f"wait record of upgrader {up!r} does not "
                             f"name page {page!r}")
             if lock.queue and not lock.upgraders:
                 txn, mode = lock.queue[0]
-                if all(compatible(m, mode)
-                       for m in lock.holders.values()):
+                if ((num_s == 0 or compatible(_S, mode))
+                        and (num_x == 0 or compatible(_X, mode))):
                     violate(f"head waiter {txn!r} on page {page!r} "
                             f"is grantable")
             for txn, _mode in lock.queue:
@@ -594,18 +605,18 @@ class LockTable:
                     violate(f"waiter {txn!r} waits in more than "
                             f"one queue")
                 seen_waiting.add(txn)
-                if txn not in self._waits or self._waits[txn].page != page:
+                if txn not in waits or waits[txn].page != page:
                     violate(f"wait record of waiter {txn!r} does not "
                             f"name page {page!r}")
-            for holder in lock.holders:
-                if page not in self._held.get(holder, ()):
+            for holder in holders:
+                if (holder not in held_index
+                        or page not in held_index[holder]):
                     violate(f"held-index missing {page!r} "
                             f"for {holder!r}")
-        if seen_waiting != set(self._waits):
+        if seen_waiting != set(waits):
             violate("wait-record index out of sync with queues")
-        for txn, pages in self._held.items():
+        for txn, pages in held_index.items():
             for page in pages:
-                lock = self._locks.get(page)
-                if lock is None or txn not in lock.holders:
+                if page not in locks or txn not in locks[page].holders:
                     violate(f"held-index lists {page!r} for {txn!r} "
                             f"but the lock entry disagrees")

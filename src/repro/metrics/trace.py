@@ -1,10 +1,10 @@
 """Event tracing: a structured record of what the system did and when.
 
 The collector aggregates; the tracer remembers.  A :class:`Tracer`
-plugged into the DBMS system records one :class:`TraceEvent` per
-interesting transition (admission, block, unblock, abort, commit,
-load-control action), which is invaluable for debugging controller
-behaviour and for the worked examples that narrate a simulation.
+plugged into the DBMS system records one event per interesting
+transition (admission, block, unblock, abort, commit, load-control
+action), which is invaluable for debugging controller behaviour and for
+the worked examples that narrate a simulation.
 
 Tracing is optional and off by default — the hot path pays one ``if``
 per transition when no tracer is installed.
@@ -15,10 +15,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from itertools import starmap
 from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
-                    Optional)
+                    Optional, Tuple)
 
-__all__ = ["TraceEventType", "TraceEvent", "Tracer"]
+__all__ = ["TraceEventType", "TraceEvent", "TraceRow", "Tracer"]
 
 
 class TraceEventType(enum.Enum):
@@ -70,6 +71,12 @@ class TraceEvent:
         return f"{base} ({self.detail})" if self.detail else base
 
 
+#: A recorded event as the tracer keeps it: :class:`TraceEvent`'s
+#: fields in declaration order, ``(time, event_type, txn_id, detail)``.
+#: ``TraceEvent(*row)`` rebuilds the object.
+TraceRow = Tuple[float, TraceEventType, int, str]
+
+
 class Tracer:
     """Bounded in-memory trace of system transitions.
 
@@ -78,6 +85,13 @@ class Tracer:
             FIFO once the bound is hit (``None`` = unbounded).
         event_filter: optional predicate; events it rejects are not
             recorded (use to trace, e.g., only aborts).
+
+    Events are kept as :data:`TraceRow` tuples, which cost a fraction
+    of a frozen dataclass to build.  The :class:`TraceEvent` objects
+    are built when read — iteration, :meth:`events`, :meth:`history_of`
+    and :meth:`format` — and, when a filter is set, once per recorded
+    event for the filter to judge.  The exporter encodes the rows
+    directly (:meth:`rows`).
     """
 
     def __init__(self, capacity: Optional[int] = 100_000,
@@ -87,45 +101,50 @@ class Tracer:
         self.event_filter = event_filter
         # A deque with maxlen evicts FIFO in O(1); a plain list's
         # pop(0) is O(n) per event once the bound is hit.
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._events: Deque[TraceRow] = deque(maxlen=capacity)
         # Per-transaction index for history_of: within one transaction
         # events arrive in global order, so the globally oldest event
         # is also the head of its own bucket and FIFO eviction stays
         # O(1) per append.
-        self._by_txn: Dict[int, Deque[TraceEvent]] = {}
+        self._by_txn: Dict[int, Deque[TraceRow]] = {}
         self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
+        return starmap(TraceEvent, self._events)
+
+    def rows(self) -> Iterator[TraceRow]:
+        """The retained events as :data:`TraceRow` tuples, in order."""
         return iter(self._events)
 
     def record(self, time: float, event_type: TraceEventType,
                txn_id: int, detail: str = "") -> None:
         """Append one event (subject to filter and capacity)."""
-        event = TraceEvent(time, event_type, txn_id, detail)
-        if self.event_filter is not None and not self.event_filter(event):
+        row = (time, event_type, txn_id, detail)
+        if (self.event_filter is not None
+                and not self.event_filter(TraceEvent(*row))):
             return
         if self.capacity is not None and len(self._events) >= self.capacity:
             # The deque evicts the oldest event itself; count it and
             # drop it from its transaction's index bucket too.
             self.dropped += 1
             if self.capacity > 0:
-                evicted = self._events[0]
-                bucket = self._by_txn[evicted.txn_id]
+                evicted_txn = self._events[0][2]
+                bucket = self._by_txn[evicted_txn]
                 bucket.popleft()
                 if not bucket:
-                    del self._by_txn[evicted.txn_id]
+                    del self._by_txn[evicted_txn]
             else:
                 # maxlen=0: the deque discards every append, so the
                 # index must record nothing either.
                 return
-        self._events.append(event)
+        self._events.append(row)
         bucket = self._by_txn.get(txn_id)
         if bucket is None:
             bucket = self._by_txn[txn_id] = deque()
-        bucket.append(event)
+        bucket.append(row)
 
     def record_abort(self, time: float, txn_id: int, reason: str) -> None:
         """Record an abort, mapping the collector reason string.
@@ -146,17 +165,17 @@ class Tracer:
         """Events matching the given type and/or transaction."""
         # A txn_id query scans only that transaction's bucket (the
         # per-txn index), not the whole trace.
-        source: Iterable[TraceEvent] = (
+        source: Iterable[TraceRow] = (
             self._by_txn.get(txn_id, ()) if txn_id is not None
             else self._events)
-        return [e for e in source
-                if event_type is None or e.event_type is event_type]
+        return [TraceEvent(*row) for row in source
+                if event_type is None or row[1] is event_type]
 
     def counts(self) -> Dict[TraceEventType, int]:
         """Event counts by type."""
         out: Dict[TraceEventType, int] = {}
-        for e in self._events:
-            out[e.event_type] = out.get(e.event_type, 0) + 1
+        for row in self._events:
+            out[row[1]] = out.get(row[1], 0) + 1
         return out
 
     def history_of(self, txn_id: int) -> List[TraceEvent]:
@@ -166,11 +185,11 @@ class Tracer:
         index, not O(n) in the whole trace; events evicted by the
         retention bound are gone from the history too.
         """
-        return list(self._by_txn.get(txn_id, ()))
+        return list(starmap(TraceEvent, self._by_txn.get(txn_id, ())))
 
     def format(self, limit: Optional[int] = None) -> str:
         """Render the (tail of the) trace as text."""
-        events = list(self._events)
+        rows = list(self._events)
         if limit is not None:
-            events = events[-limit:]
-        return "\n".join(str(e) for e in events)
+            rows = rows[-limit:]
+        return "\n".join(str(TraceEvent(*row)) for row in rows)

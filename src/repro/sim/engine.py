@@ -134,11 +134,13 @@ class Simulator:
         # Maintained at the end of each run (not per event), so reading
         # it costs the harness nothing on the hot loop.
         self.events_executed = 0
-        # Optional wall-clock profiler (duck-typed; see
-        # repro.telemetry.profiling.EngineProfiler): when set, every
-        # executed event's callback and perf_counter duration are
-        # reported to profiler.record(callback, elapsed, args).  Costs one
-        # None check per event when disabled.
+        # Optional event-loop profiler (duck-typed; see
+        # repro.telemetry.profiling.EngineProfiler).  When set, every
+        # executed event is counted into profiler.tally[callback] — or,
+        # if profiler.timed, timed with a perf_counter pair and reported
+        # to profiler.record(callback, elapsed, args) — and each run()
+        # ends with profiler.end_run(loop wall seconds).  Costs one None
+        # check per event when disabled.
         self.profiler = None
         # Optional event monitor (duck-typed; see
         # repro.verify.InvariantChecker): when set, monitor.on_event(cb)
@@ -287,6 +289,11 @@ class Simulator:
         perf_counter = _perf_counter
         horizon = float("inf") if until is None else until
         limit = float("inf") if max_events is None else max_events
+        if profiler is not None:
+            # A counting profiler gets its tally bumped in place; only a
+            # timed one is called per event.
+            tally = None if profiler.timed else profiler.tally
+            loop_start = perf_counter()
         try:
             while heap:
                 if self._stopped:
@@ -315,6 +322,9 @@ class Simulator:
                 try:
                     if profiler is None:
                         callback(*args)
+                    elif tally is not None:
+                        callback(*args)
+                        tally[callback] = tally.get(callback, 0) + 1
                     else:
                         start = perf_counter()
                         callback(*args)
@@ -341,6 +351,8 @@ class Simulator:
         finally:
             self._running = False
             self.events_executed += fired
+            if profiler is not None:
+                profiler.end_run(perf_counter() - loop_start)
         if (until is not None and self.now < until
                 and not self._stopped and not hit_max):
             # Exhausted the calendar before the horizon: advance the clock so

@@ -95,6 +95,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "PERF_SCHEMA",
     "PROBE_SCHEMA",
+    "PROFILE_SCHEMA",
     "REGIMES_SCHEMA",
     "SITE_PROBE_SCHEMA",
     "SPAN_SCHEMA",
@@ -135,8 +136,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                                 "CONTENTION_SUMMARY_SCHEMA", "DECISION_SCHEMA",
                                 "LATENCY_SCHEMA", "MANIFEST_SCHEMA",
                                 "PERF_SCHEMA", "PROBE_SCHEMA",
-                                "REGIMES_SCHEMA", "SITE_PROBE_SCHEMA",
-                                "SPAN_SCHEMA", "SPEEDSCOPE_SCHEMA",
+                                "PROFILE_SCHEMA", "REGIMES_SCHEMA",
+                                "SITE_PROBE_SCHEMA", "SPAN_SCHEMA",
+                                "SPEEDSCOPE_SCHEMA",
                                 "SWEEP_SUMMARY_SCHEMA", "TRACE_SCHEMA",
                                 "validate_jsonl", "validate_record",
                                 "validate_run_dir", "validate_sweep_summary"),

@@ -19,10 +19,13 @@ serializes everything into one directory:
 * ``spans.jsonl`` / ``latency.json``, ``contention.jsonl`` /
   ``contention.json`` and ``regimes.json`` — from the observers the
   session switches on, on either system kind.
-* ``profile.json``    — wall-clock numbers (run wall time, event-loop
-  profile).  Deliberately the *only* non-deterministic file, so
-  byte-comparing everything else across serial and process-pool
-  execution is a valid equivalence check.
+* ``profile.json``    — the run's wall time and the event-loop
+  profile: events counted per subsystem and per event type (the counts
+  are deterministic), the loop's wall time, and per-event callback
+  seconds only when ``perf`` is on.  The one wall-clock file of a
+  session without ``perf`` (``perf`` adds its own, listed under
+  :class:`TelemetryConfig`), so byte-comparing everything else across
+  serial and process-pool execution is a valid equivalence check.
 
 A :class:`TelemetryConfig` is the picklable recipe for sessions —
 :func:`repro.experiments.parallel.run_specs` ships one across the
@@ -42,7 +45,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional,
 
 from repro.errors import ConfigurationError
 from repro.fingerprint import code_fingerprint
-from repro.metrics.trace import TraceEvent, Tracer
+from repro.metrics.trace import TraceEvent, Tracer, TraceRow
 from repro.telemetry.decisions import ControllerDecision, DecisionLog
 from repro.telemetry.probes import ProbeScheduler
 from repro.telemetry.profiling import EngineProfiler
@@ -98,80 +101,121 @@ def jsonl_dump(records: Iterable[Mapping[str, Any]],
                path: Union[str, Path]) -> Path:
     """Write records as JSON Lines with deterministic bytes."""
     path = Path(path)
-    encode = _ENCODER.encode
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(encode(record))
-            fh.write("\n")
+    _write_rows(map(_ENCODER.encode, records), path)
     return path
 
 
 # Fixed-field row encoders.  ``trace.jsonl``, ``spans.jsonl`` and
-# ``decisions.jsonl`` hold one flat record per line; writing each as a
-# format string over its fields (keys in sorted order) skips the
-# per-record dict and the encoder's key sort.  Every value goes through
-# _json_value, which writes the common scalars exactly as _ENCODER does
-# and hands anything else to _ENCODER, so the bytes are the same as
-# ``_ENCODER.encode(record.to_dict())``.
-_float_repr = float.__repr__
-_int_repr = int.__repr__
+# ``decisions.jsonl`` hold one flat record per line whose field types
+# are known, so each row is one format string over its fields (keys in
+# sorted order), with no per-record dict and no per-field call:
+#
+# * an enum member is written as the precomputed JSON string of its
+#   value (_ENUM_JSON);
+# * an int is written by the format string (``str(int)`` is the JSON
+#   form), a finite float likewise (``str(float)`` is ``repr``, which is
+#   what the encoder writes), and None as ``null``;
+# * a string goes through ``encode_basestring_ascii``, the function the
+#   encoder itself calls.
+#
+# A row with any other value — a non-finite float, an int or float
+# subclass, an unexpected type — falls back to
+# ``_ENCODER.encode(record.to_dict())`` as a whole, so every row's bytes
+# equal that call's.
 
 
-def _json_value(value: Any) -> str:
-    """``_ENCODER.encode(value)``, with the common scalars inline."""
-    cls = value.__class__
-    if cls is float:
-        if value - value == 0.0:        # finite; NaN/inf fall through
-            return _float_repr(value)
-    elif cls is int:
-        return _int_repr(value)
-    elif cls is str:
-        return _json_str(value)
-    elif value is None:
-        return "null"
-    return _ENCODER.encode(value)
+class _JsonStrings(dict):
+    """``str`` → its JSON string literal, computed on first use."""
+
+    def __missing__(self, key: str) -> str:
+        encoded = self[key] = _json_str(key)
+        return encoded
 
 
-def trace_row(event: TraceEvent) -> str:
-    """The trace.jsonl line for one trace event (no newline)."""
-    v = _json_value
-    return (f'{{"detail":{v(event.detail)},"time":{v(event.time)},'
-            f'"txn_id":{v(event.txn_id)},'
-            f'"type":{v(event.event_type.value)}}}')
+# Keyed by member value: a str key hashes in C, where an enum member's
+# hash is a Python-level call.  Member values are few and fixed.
+_ENUM_JSON = _JsonStrings()
+
+
+def trace_row(row: TraceRow) -> str:
+    """The trace.jsonl line for one trace row (no newline)."""
+    time, event_type, txn_id, detail = row
+    if (time.__class__ is float and time - time == 0.0
+            and txn_id.__class__ is int and detail.__class__ is str):
+        return (f'{{"detail":{_json_str(detail)},"time":{time!r},'
+                f'"txn_id":{txn_id},'
+                f'"type":{_ENUM_JSON[event_type._value_]}}}')
+    return _ENCODER.encode(trace_event_to_dict(TraceEvent(*row)))
 
 
 def span_row(row: SpanRow) -> str:
     """The spans.jsonl line for one recorded span row (no newline)."""
-    v = _json_value
     txn_id, kind, start, end, attempt, page, blocker, depth = row
-    return (f'{{"attempt":{v(attempt)},"blocker":{v(blocker)},'
-            f'"depth":{v(depth)},"end":{v(end)},"kind":{v(kind.value)},'
-            f'"page":{v(page)},"start":{v(start)},"txn_id":{v(txn_id)}}}')
+    if (start.__class__ is float and start - start == 0.0
+            and end.__class__ is float and end - end == 0.0
+            and txn_id.__class__ is int and attempt.__class__ is int
+            and (page is None or page.__class__ is int)
+            and (blocker is None or blocker.__class__ is int)
+            and (depth is None or depth.__class__ is int)):
+        return (f'{{"attempt":{attempt},'
+                f'"blocker":{"null" if blocker is None else blocker},'
+                f'"depth":{"null" if depth is None else depth},'
+                f'"end":{end!r},"kind":{_ENUM_JSON[kind._value_]},'
+                f'"page":{"null" if page is None else page},'
+                f'"start":{start!r},"txn_id":{txn_id}}}')
+    from repro.telemetry.spans import Span    # optional observer module
+    return _ENCODER.encode(Span(*row).to_dict())
 
 
 def decision_row(d: ControllerDecision) -> str:
     """The decisions.jsonl line for one controller decision (no
     newline)."""
-    v = _json_value
-    return (f'{{"action":{v(d.action)},"controller":{v(d.controller)},'
-            f'"detail":{v(d.detail)},"frac_state1":{v(d.frac_state1)},'
-            f'"frac_state3":{v(d.frac_state3)},"measure":{v(d.measure)},'
-            f'"n_active":{v(d.n_active)},"n_state1":{v(d.n_state1)},'
-            f'"n_state3":{v(d.n_state3)},"region":{v(d.region)},'
-            f'"threshold":{v(d.threshold)},"time":{v(d.time)},'
-            f'"txn_id":{v(d.txn_id)}}}')
+    time, region, txn_id = d.time, d.region, d.txn_id
+    n_active, n_state1, n_state3 = d.n_active, d.n_state1, d.n_state3
+    measure, threshold = d.measure, d.threshold
+    if (time.__class__ is float and time - time == 0.0
+            and d.controller.__class__ is str
+            and d.action.__class__ is str and d.detail.__class__ is str
+            and (region is None or region.__class__ is str)
+            and n_active.__class__ is int and n_state1.__class__ is int
+            and n_state3.__class__ is int
+            and (txn_id is None or txn_id.__class__ is int)
+            and (measure is None or measure.__class__ is int
+                 or (measure.__class__ is float
+                     and measure - measure == 0.0))
+            and (threshold is None or threshold.__class__ is int
+                 or (threshold.__class__ is float
+                     and threshold - threshold == 0.0))):
+        # ControllerDecision.frac_state1/frac_state3, inline.
+        frac1 = n_state1 / n_active if n_active else 0.0
+        frac3 = n_state3 / n_active if n_active else 0.0
+        return (f'{{"action":{_json_str(d.action)},'
+                f'"controller":{_json_str(d.controller)},'
+                f'"detail":{_json_str(d.detail)},'
+                f'"frac_state1":{frac1!r},"frac_state3":{frac3!r},'
+                f'"measure":{"null" if measure is None else measure},'
+                f'"n_active":{n_active},"n_state1":{n_state1},'
+                f'"n_state3":{n_state3},'
+                f'"region":{"null" if region is None else _json_str(region)},'
+                f'"threshold":{"null" if threshold is None else threshold},'
+                f'"time":{time!r},'
+                f'"txn_id":{"null" if txn_id is None else txn_id}}}')
+    return _ENCODER.encode(d.to_dict())
+
+
+_LINE = "{}\n".format      # one row -> its line
 
 
 def _write_rows(rows: Iterable[str], path: Path) -> None:
-    """Write pre-encoded JSON Lines rows, one per line."""
+    """Write pre-encoded JSON Lines rows, one per line, in one
+    ``writelines`` call.  The rows stream through it: no list of every
+    line of a file is held at once."""
     with path.open("w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(row)
-            fh.write("\n")
+        fh.writelines(map(_LINE, rows))
 
 
 def trace_event_to_dict(event: TraceEvent) -> Dict[str, Any]:
-    """The trace.jsonl row for one trace event."""
+    """The trace.jsonl record for one trace event."""
     return {
         "time": event.time,
         "type": event.event_type.value,
@@ -189,7 +233,9 @@ class TelemetryConfig:
         probe_interval: simulated seconds between probe samples.
         trace_capacity / decision_capacity: retention bounds for the
             trace and decision log (``None`` = unbounded).
-        profile: attach an :class:`EngineProfiler` to the event loop.
+        profile: attach an :class:`EngineProfiler` to the event loop
+            (event counts per subsystem and event type, loop wall
+            time; ``perf`` replaces it with the timed profiler).
         spans: attach a :class:`~repro.telemetry.spans.SpanRecorder`
             (per-transaction span timelines + latency analytics); the
             run directory gains ``spans.jsonl`` and ``latency.json``.
@@ -373,7 +419,7 @@ class TelemetrySession:
                        self.out_dir / "site_probes.jsonl")
         _write_rows(map(decision_row, self.decisions),
                     self.out_dir / "decisions.jsonl")
-        _write_rows(map(trace_row, self.tracer),
+        _write_rows(map(trace_row, self.tracer.rows()),
                     self.out_dir / "trace.jsonl")
         if self.spans is not None:
             _write_rows(map(span_row, self.spans.rows()),

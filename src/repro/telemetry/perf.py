@@ -1,8 +1,9 @@
 """Hot-path attribution profiling and flamegraph / trace export.
 
-The coarse :class:`~repro.telemetry.profiling.EngineProfiler` answers
-"which subsystem is slow"; this module answers "which *transition* is
-slow, in which run phase, doing what kind of page work" — the
+The counting :class:`~repro.telemetry.profiling.EngineProfiler`
+answers "where do the events go"; this module times every event and
+answers "which *transition* is slow, in which run phase, doing what
+kind of page work" — the
 attribution the ROADMAP's kernel-speed campaign needs to pick its next
 target.  Three pieces:
 
@@ -98,6 +99,9 @@ class PerfProfiler(EngineProfiler):
     * ``phases`` — per-phase event counts and seconds; the runner
       marks ``warmup`` and ``measure`` via :meth:`set_phase`.
     """
+
+    #: Every event is timed and reaches :meth:`record`.
+    timed = True
 
     def __init__(self, alloc: Optional["AllocationProbe"] = None):
         super().__init__()

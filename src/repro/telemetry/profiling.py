@@ -1,26 +1,32 @@
-"""Wall-clock profiling of the simulation event loop.
+"""Event-loop profiling: event counts per subsystem and event type.
 
 An :class:`EngineProfiler` attached to a
 :class:`~repro.sim.engine.Simulator` (``sim.profiler = EngineProfiler()``)
-receives every executed event's callback and its ``time.perf_counter``
-duration.  Events are bucketed two ways:
+counts every executed event, bucketed two ways:
 
 * by the callback's defining module — the *subsystem* — so a profile
-  answers "where does the wall time go: the DBMS state machine, the
-  lock manager, the resources, the controller?";
+  answers "where do the events go: the DBMS state machine, the lock
+  manager, the resources, the controller?";
 * by the callback's *canonical qualname* — the logical event type —
   so it also answers "which transition is hot: ``_page_read_done``,
   ``_next_operation``, a disk completion?".
 
 Every run, observed or not, dispatches through the same state-machine
 methods, so one transition always keys the same way across
-configurations.
+configurations, and two runs of one seed count the same.
 
-The profiler measures *wall* time and is therefore intentionally kept
-out of the deterministic telemetry files; its summary lands in the
-non-deterministic ``profile.json``.  The richer attribution profiler
-(per-phase logical stacks, flamegraph export, allocation probes) lives
-in :mod:`repro.telemetry.perf` and builds on this module.
+The counting profiler times the event loop as a whole, once per
+``Simulator.run``, not each event: a ``perf_counter`` pair per event
+cost more than the counting.  Per-event wall time is the business of
+the attribution profiler (:class:`repro.telemetry.perf.PerfProfiler`,
+selected by ``--perf``), which sets :attr:`EngineProfiler.timed` and
+receives each event through :meth:`EngineProfiler.record`.  Its
+per-phase logical stacks, flamegraph export and allocation probes live
+in :mod:`repro.telemetry.perf`.
+
+The loop time makes the summary wall-clock, so it lands in the
+non-deterministic ``profile.json``, outside the deterministic telemetry
+files.
 """
 
 from __future__ import annotations
@@ -61,21 +67,43 @@ def canonical_qualname(callback: Callable[..., Any]) -> str:
 
 
 class EngineProfiler:
-    """Per-subsystem and per-event-type counts and wall-clock timings.
+    """Per-subsystem and per-event-type event counts, plus the event
+    loop's wall time.
 
-    The simulator calls :meth:`record` once per executed event; the
-    profiler also keeps its own ``perf_counter`` epoch so
-    :meth:`summary` can report events per wall-second including loop
-    overhead, not just callback time.
+    The simulator's side of the protocol (see ``Simulator.run``):
+
+    * unless :attr:`timed` is set, it adds one to ``tally[callback]``
+      per executed event — a dict increment, no call — and
+      :meth:`end_run` folds the tally into the name buckets;
+    * when :attr:`timed` is set (the attribution profiler), it times
+      each event and calls :meth:`record` instead;
+    * either way it calls :meth:`end_run` once per ``run`` with the
+      loop's wall seconds.
+
+    Buckets are ``[count, callback seconds]``; the seconds stay 0.0
+    unless events arrive through :meth:`record`.
     """
+
+    #: True when the simulator should time every event and call
+    #: :meth:`record`; the counting profiler leaves it off.
+    timed = False
 
     def __init__(self) -> None:
         self.events = 0
         self.callback_seconds = 0.0
+        # Wall seconds inside Simulator.run, summed over runs.
+        self.loop_seconds = 0.0
         # subsystem -> [event count, callback seconds]
         self.by_subsystem: Dict[str, list] = {}
         # canonical "subsystem.Class.method" -> [count, seconds]
         self.by_event_type: Dict[str, list] = {}
+        # callback -> events since the last fold.  Bound methods compare
+        # equal per (instance, function) and hash by the instance's
+        # identity, so a method scheduled many times is one key, whatever
+        # its instance's own __eq__/__hash__ (a callable object without
+        # a hash could not be counted).  end_run empties it, so no
+        # callback outlives its run here.
+        self.tally: Dict[Callable[..., Any], int] = {}
         # (module, raw qualname) -> (subsystem, canonical event key);
         # bound methods are fresh objects per attribute access, so the
         # memo keys on the underlying names, not the callback object.
@@ -94,27 +122,40 @@ class EngineProfiler:
             self._names[raw] = names
         return names
 
+    def _credit(self, callback: Callable[..., Any], count: int,
+                seconds: float) -> None:
+        """Credit ``count`` events of one callback to its buckets."""
+        self.events += count
+        subsystem, event_key = self._names_of(callback)
+        bucket = self.by_subsystem.get(subsystem)
+        if bucket is None:
+            bucket = self.by_subsystem[subsystem] = [0, 0.0]
+        bucket[0] += count
+        bucket[1] += seconds
+        bucket = self.by_event_type.get(event_key)
+        if bucket is None:
+            bucket = self.by_event_type[event_key] = [0, 0.0]
+        bucket[0] += count
+        bucket[1] += seconds
+
     def record(self, callback: Callable[..., Any], elapsed: float,
                args: tuple = ()) -> None:
-        """Credit one executed event to its subsystem and event type.
+        """Credit one timed event to its subsystem and event type.
 
         ``args`` is the event's argument tuple; this profiler ignores
         it, but subclasses (the attribution profiler) use it for
         page-class attribution, and the simulator always passes it.
         """
-        self.events += 1
         self.callback_seconds += elapsed
-        subsystem, event_key = self._names_of(callback)
-        bucket = self.by_subsystem.get(subsystem)
-        if bucket is None:
-            bucket = self.by_subsystem[subsystem] = [0, 0.0]
-        bucket[0] += 1
-        bucket[1] += elapsed
-        bucket = self.by_event_type.get(event_key)
-        if bucket is None:
-            bucket = self.by_event_type[event_key] = [0, 0.0]
-        bucket[0] += 1
-        bucket[1] += elapsed
+        self._credit(callback, 1, elapsed)
+
+    def end_run(self, seconds: float) -> None:
+        """Account one ``Simulator.run``: its loop wall time, and the
+        tallied events folded into the buckets."""
+        self.loop_seconds += seconds
+        for callback, count in self.tally.items():
+            self._credit(callback, count, 0.0)
+        self.tally.clear()
 
     @property
     def wall_seconds(self) -> float:
@@ -123,36 +164,50 @@ class EngineProfiler:
 
     @property
     def events_per_second(self) -> float:
-        wall = self.wall_seconds
-        return self.events / wall if wall > 0.0 else 0.0
+        """Events per wall second of the event loop."""
+        loop = self.loop_seconds
+        return self.events / loop if loop > 0.0 else 0.0
 
     def summary(self) -> Dict[str, Any]:
-        """JSON-serializable profile (the profile.json payload)."""
-        subsystems = {
-            name: {"events": count, "seconds": seconds}
-            for name, (count, seconds) in sorted(self.by_subsystem.items())
-        }
-        event_types = {
-            name: {"events": count, "seconds": seconds}
-            for name, (count, seconds) in sorted(self.by_event_type.items())
-        }
-        return {
+        """JSON-serializable profile (the profile.json payload).
+
+        ``wall_seconds`` is the event loop's wall time.  Per-bucket
+        ``seconds`` and the total ``callback_seconds`` appear only for
+        a :attr:`timed` profiler; the counts are deterministic.
+        """
+        timed = self.timed
+
+        def buckets(table: Dict[str, list]) -> Dict[str, Any]:
+            return {
+                name: ({"events": count, "seconds": seconds} if timed
+                       else {"events": count})
+                for name, (count, seconds) in sorted(table.items())
+            }
+
+        summary: Dict[str, Any] = {
             "events": self.events,
-            "wall_seconds": self.wall_seconds,
-            "callback_seconds": self.callback_seconds,
+            "wall_seconds": self.loop_seconds,
             "events_per_second": self.events_per_second,
-            "subsystems": subsystems,
-            "event_types": event_types,
         }
+        if timed:
+            summary["callback_seconds"] = self.callback_seconds
+        summary["subsystems"] = buckets(self.by_subsystem)
+        summary["event_types"] = buckets(self.by_event_type)
+        return summary
 
     def format(self) -> str:
-        """Human-readable profile table."""
-        lines = [f"{self.events} events in {self.wall_seconds:.2f}s wall "
-                 f"({self.events_per_second:,.0f} events/s)"]
-        total = self.callback_seconds or 1.0
+        """Human-readable profile table: subsystems ranked by callback
+        time when timed, else by event count."""
+        lines = [f"{self.events} events in {self.loop_seconds:.2f}s of "
+                 f"event loop ({self.events_per_second:,.0f} events/s)"]
+        column = 1 if self.timed else 0
+        total = sum(bucket[column]
+                    for bucket in self.by_subsystem.values()) or 1.0
         ranked = sorted(self.by_subsystem.items(),
-                        key=lambda kv: kv[1][1], reverse=True)
+                        key=lambda kv: (-kv[1][column], kv[0]))
         for name, (count, seconds) in ranked:
+            share = 100.0 * (seconds if self.timed else count) / total
+            timing = f"{seconds:8.3f}s " if self.timed else ""
             lines.append(f"  {name:<24} {count:>10} events "
-                         f"{seconds:8.3f}s ({100.0 * seconds / total:5.1f}%)")
+                         f"{timing}({share:5.1f}%)")
         return "\n".join(lines)

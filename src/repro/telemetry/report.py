@@ -12,8 +12,8 @@
 * the latency picture (response-time percentiles, critical-path
   breakdown, wait-chain blame) when the run recorded spans — also
   available alone via ``telemetry latency``;
-* the event-loop profile (events/sec, time per subsystem) when one was
-  recorded;
+* the event-loop profile (events/sec, events or time per subsystem)
+  when one was recorded;
 * the hot-path attribution picture (wall events/sec trend across the
   run, top event types by exclusive time with ns/event, allocation top
   sites) when the run was profiled with ``--perf``.
@@ -415,15 +415,20 @@ def render_run_report(run_dir: Union[str, Path],
             lines.append(
                 f"  event loop: {loop['events']} events, "
                 f"{loop['events_per_second']:,.0f} events/s wall")
+            # A timed profile (--perf) ranks subsystems by callback
+            # time; the default counting profile has no per-event
+            # seconds and ranks them by event count.
             subsystems = loop.get("subsystems", {})
-            total = sum(s["seconds"] for s in subsystems.values()) or 1.0
-            ranked_subsystems = sorted(subsystems.items(),
-                                       key=lambda kv: -kv[1]["seconds"])
+            timed = all("seconds" in s for s in subsystems.values())
+            key, unit = (("seconds", "callback time") if timed
+                         else ("events", "events"))
+            total = sum(s[key] for s in subsystems.values()) or 1.0
+            ranked_subsystems = sorted(
+                subsystems.items(), key=lambda kv: (-kv[1][key], kv[0]))
             for name, stats in ranked_subsystems[:4]:
                 lines.append(
                     f"    {name:<22} {stats['events']:>9} events  "
-                    f"{100.0 * stats['seconds'] / total:5.1f}% of "
-                    f"callback time")
+                    f"{100.0 * stats[key] / total:5.1f}% of {unit}")
 
     perf_path = run_dir / "perf.json"
     if perf_path.is_file():

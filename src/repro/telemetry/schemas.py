@@ -41,9 +41,9 @@ exporters cannot silently drift):
 * ``trace.json``            — a :data:`CHROME_TRACE_SCHEMA` Chrome
   trace-event document (Perfetto-loadable);
 
-plus the wall-clock ``profile.json``, which is deliberately *not*
-byte-deterministic and therefore not schema-pinned beyond being an
-object.
+plus ``profile.json`` — the :data:`PROFILE_SCHEMA` run wall time and
+event-loop profile, which is deliberately *not* byte-deterministic (its
+event counts are; its seconds are wall-clock).
 
 The validator implements the subset of JSON Schema the schemas use
 (``type`` with unions, ``required``, ``properties``, ``items`` for
@@ -71,6 +71,7 @@ __all__ = [
     "REGIMES_SCHEMA",
     "SWEEP_SUMMARY_SCHEMA",
     "PERF_SCHEMA",
+    "PROFILE_SCHEMA",
     "SPEEDSCOPE_SCHEMA",
     "CHROME_TRACE_SCHEMA",
     "validate_record",
@@ -368,6 +369,31 @@ SWEEP_SUMMARY_SCHEMA: Dict[str, Any] = {
 }
 
 
+# profile.json.  ``event_loop`` is present when the session attached an
+# event-loop profiler.  Its ``subsystems`` and ``event_types`` map a name
+# to ``{"events": n}``, plus ``"seconds"`` when the profiler timed every
+# event (``perf``), which also adds ``callback_seconds``.
+PROFILE_SCHEMA: Dict[str, Any] = {
+    "type": "object",
+    "required": ["wall_time_seconds"],
+    "properties": {
+        "wall_time_seconds": {"type": ["number", "null"]},
+        "event_loop": {
+            "type": "object",
+            "required": ["events", "wall_seconds", "events_per_second",
+                         "subsystems", "event_types"],
+            "properties": {
+                "events": {"type": "integer"},
+                "wall_seconds": {"type": "number"},
+                "events_per_second": {"type": "number"},
+                "callback_seconds": {"type": "number"},
+                "subsystems": {"type": "object"},
+                "event_types": {"type": "object"},
+            },
+        },
+    },
+}
+
 _PERF_STACK_SCHEMA: Dict[str, Any] = {
     "type": "object",
     "required": ["phase", "subsystem", "event_type", "page_class",
@@ -652,6 +678,7 @@ def validate_run_dir(run_dir: Union[str, Path]) -> List[str]:
     _validate_json_file(run_dir / "contention.json",
                         CONTENTION_SUMMARY_SCHEMA, errors)
     _validate_json_file(run_dir / "regimes.json", REGIMES_SCHEMA, errors)
+    _validate_json_file(run_dir / "profile.json", PROFILE_SCHEMA, errors)
     _validate_json_file(run_dir / "perf.json", PERF_SCHEMA, errors)
     _validate_json_file(run_dir / "flame.speedscope.json",
                         SPEEDSCOPE_SCHEMA, errors)

@@ -102,21 +102,16 @@ SpanRow = Tuple[int, SpanKind, float, float, int, Optional[int],
                 Optional[int], Optional[int]]
 
 
-class _OpenSpan:
-    """Mutable record of the span a transaction is currently in."""
+#: The span a transaction is currently in, as the recorder keeps it:
+#: ``(kind, start, attempt, page, blocker, depth)``.
+_OpenSpan = Tuple[SpanKind, float, int, Optional[int], Optional[int],
+                  Optional[int]]
 
-    __slots__ = ("kind", "start", "attempt", "page", "blocker", "depth")
-
-    def __init__(self, kind: SpanKind, start: float, attempt: int,
-                 page: Optional[int] = None,
-                 blocker: Optional[int] = None,
-                 depth: Optional[int] = None):
-        self.kind = kind
-        self.start = start
-        self.attempt = attempt
-        self.page = page
-        self.blocker = blocker
-        self.depth = depth
+# Enum members bound to module constants: reading a member off its class
+# goes through the enum metaclass's attribute hook.
+_READY_WAIT, _CPU, _DISK, _LOCK_WAIT, _RESTART_GAP = (
+    SpanKind.READY_WAIT, SpanKind.CPU, SpanKind.DISK, SpanKind.LOCK_WAIT,
+    SpanKind.RESTART_GAP)
 
 
 class SpanRecorder:
@@ -144,9 +139,12 @@ class SpanRecorder:
         self.dropped = 0
         self._open: Dict[int, _OpenSpan] = {}
         self.analytics = LatencyAnalytics()
-        # Per-transaction per-kind running totals, cleared at commit.
-        self._totals: Dict[int, Dict[SpanKind, float]] = {}
+        # Per-transaction running totals, cleared at commit, keyed by
+        # the kind's value: a str key hashes in C, where an enum
+        # member's hash is a Python-level call.
+        self._totals: Dict[int, Dict[str, float]] = {}
         self._system: Optional["DBMSSystem"] = None
+        self._sim: Any = None
 
     # ------------------------------------------------------------------
     # Installation
@@ -155,12 +153,9 @@ class SpanRecorder:
     def attach(self, system: "DBMSSystem") -> None:
         """Hook the recorder into a freshly built system."""
         self._system = system
+        self._sim = system.sim
         system.spans = self
         system.ready_queue.observer = self
-
-    @property
-    def _now(self) -> float:
-        return self._system.sim.now
 
     # ------------------------------------------------------------------
     # Span plumbing
@@ -180,63 +175,61 @@ class SpanRecorder:
         """All retained spans of one transaction, in order."""
         return [Span(*row) for row in self._spans if row[0] == txn_id]
 
-    def _open_span(self, txn: "Transaction", kind: SpanKind,
-                   page: Optional[int] = None,
-                   blocker: Optional[int] = None,
-                   depth: Optional[int] = None) -> None:
-        self._open[txn.txn_id] = _OpenSpan(
-            kind, self._now, txn.restarts + 1,
-            page=page, blocker=blocker, depth=depth)
-
     def _close_span(self, txn: "Transaction") -> None:
         """Close the transaction's open span, if any (tolerant)."""
-        open_span = self._open.pop(txn.txn_id, None)
+        txn_id = txn.txn_id
+        open_span = self._open.pop(txn_id, None)
         if open_span is None:
             return
-        end = self._now
-        kind = open_span.kind
+        end = self._sim.now
+        kind, start, attempt, page, blocker, depth = open_span
         if (self.capacity is not None
                 and len(self._spans) >= self.capacity):
             self.dropped += 1     # the deque evicts the oldest itself
-        self._spans.append((txn.txn_id, kind, open_span.start, end,
-                            open_span.attempt, open_span.page,
-                            open_span.blocker, open_span.depth))
-        duration = end - open_span.start
-        totals = self._totals.get(txn.txn_id)
+        self._spans.append((txn_id, kind, start, end, attempt, page,
+                            blocker, depth))
+        duration = end - start
+        totals = self._totals.get(txn_id)
         if totals is None:
-            totals = self._totals[txn.txn_id] = {}
-        totals[kind] = totals.get(kind, 0.0) + duration
-        if kind is SpanKind.LOCK_WAIT:
-            self.analytics.credit_wait(open_span.blocker,
-                                       open_span.page, duration)
+            totals = self._totals[txn_id] = {}
+        key = kind._value_
+        totals[key] = totals.get(key, 0.0) + duration
+        if kind is _LOCK_WAIT:
+            self.analytics.credit_wait(blocker, page, duration)
 
     # ------------------------------------------------------------------
     # System hooks (all called with the trajectory untouched)
     # ------------------------------------------------------------------
 
-    def on_arrival(self, txn: "Transaction") -> None:
-        """A transaction (re-)arrived: the restart gap, if any, ends."""
-        self._close_span(txn)
+    # Hooks that only close the transaction's open span (no-ops when
+    # none is open):
+    #   on_arrival        — a (re-)arrival ends the restart gap, if any;
+    #   on_ready_dequeued — ready-queue observer: leaving the queue;
+    #   end_service       — a CPU or disk request completed;
+    #   on_unblock        — the blocked transaction's lock was granted;
+    #   on_passivate      — parked into the cold set: closes the open
+    #                       lock_wait span.  The parked stretch itself is
+    #                       deliberately unattributed (it resembles the
+    #                       ready queue but has no admission-order
+    #                       semantics), and readmission re-enters through
+    #                       the normal admission path.
+    on_arrival = on_ready_dequeued = end_service = on_unblock = \
+        on_passivate = _close_span
 
     def on_ready_enqueued(self, txn: "Transaction") -> None:
         """Ready-queue observer: parked awaiting admission."""
-        self._open_span(txn, SpanKind.READY_WAIT)
-
-    def on_ready_dequeued(self, txn: "Transaction") -> None:
-        """Ready-queue observer: leaving the queue (admission)."""
-        self._close_span(txn)
+        self._open[txn.txn_id] = (_READY_WAIT, self._sim.now,
+                                  txn.restarts + 1, None, None, None)
 
     def begin_cpu(self, txn: "Transaction") -> None:
         """A CPU service request was issued on the transaction's behalf."""
-        self._open_span(txn, SpanKind.CPU)
+        self._open[txn.txn_id] = (_CPU, self._sim.now, txn.restarts + 1,
+                                  None, None, None)
 
     def begin_disk(self, txn: "Transaction") -> None:
         """A disk access was issued on the transaction's behalf."""
-        self._open_span(txn, SpanKind.DISK)
-
-    def end_service(self, txn: "Transaction") -> None:
-        """A service request completed (no-op when none was recorded)."""
-        self._close_span(txn)
+        self._open[txn.txn_id] = (_DISK, self._sim.now, txn.restarts + 1,
+                                  None, None, None)
 
     def on_block(self, txn: "Transaction", page: int) -> None:
         """The transaction blocked on ``page``; attribute the wait.
@@ -249,23 +242,9 @@ class SpanRecorder:
         order = lock_table.blocking_order(txn)
         blocker = order[0].txn_id if order else None
         depth = lock_table.wait_chain_depth(txn)
-        self._open_span(txn, SpanKind.LOCK_WAIT, page=page,
-                        blocker=blocker, depth=depth)
+        self._open[txn.txn_id] = (_LOCK_WAIT, self._sim.now,
+                                  txn.restarts + 1, page, blocker, depth)
         self.analytics.on_block(blocker, page, depth)
-
-    def on_unblock(self, txn: "Transaction") -> None:
-        """The blocked transaction's lock was granted."""
-        self._close_span(txn)
-
-    def on_passivate(self, txn: "Transaction") -> None:
-        """The transaction was parked into the cold set.
-
-        Closes the open ``lock_wait`` span; the parked stretch itself
-        is deliberately unattributed (it resembles the ready queue but
-        has no admission-order semantics), and readmission re-enters
-        through the normal admission path.
-        """
-        self._close_span(txn)
 
     def on_abort(self, txn: "Transaction", reason: str) -> None:
         """Abort: close whatever was open, start the restart gap.
@@ -275,18 +254,19 @@ class SpanRecorder:
         will close the gap.
         """
         self._close_span(txn)
-        self._open_span(txn, SpanKind.RESTART_GAP)
+        self._open[txn.txn_id] = (_RESTART_GAP, self._sim.now,
+                                  txn.restarts + 1, None, None, None)
 
     def on_commit(self, txn: "Transaction") -> None:
         """Commit: fold the transaction's timeline into the analytics."""
         self._close_span(txn)    # defensive; nothing should be open
         totals = self._totals.pop(txn.txn_id, {})
-        life = self._now - txn.timestamp
+        life = self._sim.now - txn.timestamp
         self.analytics.on_commit(
             life=life,
-            lock_wait=totals.get(SpanKind.LOCK_WAIT, 0.0),
-            cpu=totals.get(SpanKind.CPU, 0.0),
-            disk=totals.get(SpanKind.DISK, 0.0),
-            ready_wait=totals.get(SpanKind.READY_WAIT, 0.0),
-            restart_gap=totals.get(SpanKind.RESTART_GAP, 0.0),
+            lock_wait=totals.get("lock_wait", 0.0),
+            cpu=totals.get("cpu", 0.0),
+            disk=totals.get("disk", 0.0),
+            ready_wait=totals.get("ready_wait", 0.0),
+            restart_gap=totals.get("restart_gap", 0.0),
             restarts=txn.restarts)

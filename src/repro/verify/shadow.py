@@ -10,12 +10,13 @@ After every operation it compares
   releasing several pages are per-page independent, so ordering between
   pages is an implementation detail), and
 * the state of every page the operation touched, as plain objects
-  (the real lock entry vs :meth:`ReferenceLockTable.page_state`:
-  holders compared as a txn → mode mapping, upgraders and queue in
-  order, transactions by identity) plus the running statistics, and
-  every :data:`FULL_COMPARE_STRIDE` operations the same object compare
-  over every page either side knows, plus the identity multiset of the
-  real table's waiters against the reference's.
+  (the real lock entry vs the reference's lists for that page, the
+  state :meth:`ReferenceLockTable.page_state` describes: holders
+  compared as a txn → mode mapping, upgraders and queue in order,
+  transactions by identity) plus the running statistics, and every
+  :data:`FULL_COMPARE_STRIDE` operations the same object compare over
+  every page either side knows, plus the identity multiset of the real
+  table's waiters against the reference's.
 
 Any mismatch raises :class:`~repro.errors.ShadowDivergence` carrying
 both snapshots as evidence.  The string-keyed dumps
@@ -36,7 +37,7 @@ from typing import Any, Hashable, Iterable, List, Optional, Tuple
 from repro.errors import LockProtocolError, ShadowDivergence
 from repro.lockmgr.lock_table import Grant, LockTable, RequestOutcome, _Lock
 from repro.lockmgr.modes import LockMode
-from repro.verify.reference import PageState, ReferenceLockTable
+from repro.verify.reference import ReferenceLockTable
 
 __all__ = ["ShadowLockTable", "canonical_grants"]
 
@@ -51,9 +52,19 @@ Page = Hashable
 # quadratic in table size and ~100x slower end to end.
 FULL_COMPARE_STRIDE = 256
 
+_END = object()     # exhausted-iterator sentinel for _same_page
 
-def _same_page(lock: Optional[_Lock], ref: Optional[PageState]) -> bool:
-    """True when a real lock entry and a reference page state agree.
+
+def _same_page(lock: Optional[_Lock], holds: Optional[List[Any]],
+               waits: Optional[List[Any]]) -> bool:
+    """True when a real lock entry and the reference's state for the
+    same page agree.
+
+    ``holds`` and ``waits`` are the reference's lists for the page (its
+    ``_holds`` and ``_waits`` values, ``None`` where it has no key).
+    The walk compares what :meth:`ReferenceLockTable.page_state` would
+    return without building it: the reference knows the page unless it
+    has no wait list and no holds.
 
     Transactions are compared by identity (both sides store the objects
     the caller passed in, and transaction tokens hash by identity, as
@@ -62,23 +73,42 @@ def _same_page(lock: Optional[_Lock], ref: Optional[PageState]) -> bool:
     Holders are a mapping, so their insertion order does not matter;
     upgraders and the queue are FIFO, so theirs does.
     """
-    if lock is None or ref is None:
-        return lock is None and ref is None
-    holders, upgraders, queue = ref
-    real = lock.holders
-    if len(real) != len(holders):
+    if waits is None and not holds:
+        return lock is None
+    if lock is None:
         return False
-    for txn, mode in real.items():
-        if holders.get(txn) is not mode:
+    real = lock.holders
+    if not holds:
+        if real:
             return False
-    if not (lock.upgraders or upgraders or lock.queue or queue):
-        return True
-    return (
-        len(lock.upgraders) == len(upgraders)
-        and all(a is b for a, b in zip(lock.upgraders, upgraders))
-        and len(lock.queue) == len(queue)
-        and all(a is b and m is n
-                for (a, m), (b, n) in zip(lock.queue, queue)))
+    elif len(holds) == 1:
+        hold = holds[0]
+        if len(real) != 1 or real.get(hold.txn) is not hold.mode:
+            return False
+    elif real != {hold.txn: hold.mode for hold in holds}:
+        # Lock modes are enum members, so ``==`` on them is identity.
+        return False
+    upgraders, queue = lock.upgraders, lock.queue
+    if not waits:
+        return not upgraders and not queue
+    if len(upgraders) + len(queue) != len(waits):
+        return False
+    # The reference keeps one arrival-ordered wait list per page; the
+    # real table splits it into the upgraders and the ordinary queue.
+    # With the lengths equal, consuming both in step with the list
+    # without running dry means both match it exactly.
+    upgrader = iter(upgraders)
+    queued = iter(queue)
+    for wait in waits:
+        if wait.is_upgrade:
+            if next(upgrader, _END) is not wait.txn:
+                return False
+        else:
+            entry = next(queued, _END)
+            if (entry is _END or entry[0] is not wait.txn
+                    or entry[1] is not wait.mode):
+                return False
+    return True
 
 
 def _label(txn: Txn):
@@ -109,12 +139,12 @@ class ShadowLockTable(LockTable):
         # operations are counted without a state compare, and a modulo
         # test would skip a full diff that fell due on one of them.
         self._full_compare_due = FULL_COMPARE_STRIDE
-        # True while the *real* side of a mirrored operation runs.  The
-        # real implementation calls its own public methods internally
-        # (release_all -> cancel_wait), and those dispatch back to the
-        # overrides below; without this guard the nested call would
-        # mirror to the reference a second time, consuming its grants
-        # before the outer reference call runs.
+        # True while the real ``release_all`` runs: it withdraws a
+        # pending wait through the public ``cancel_wait``, which
+        # dispatches back to the override below.  Without this guard
+        # the nested call would mirror to the reference a second time,
+        # consuming its grants before the outer reference call runs.
+        # No other real mutation calls a public mutator.
         self._mirroring = False
 
     # ------------------------------------------------------------------
@@ -133,8 +163,12 @@ class ShadowLockTable(LockTable):
     def _compare_state(self, operation: str,
                        touched: Iterable[Page]) -> None:
         ref = self.reference
+        locks = self._locks
+        holds = ref._holds
+        waits = ref._waits
         for page in touched:
-            if not _same_page(self._locks.get(page), ref.page_state(page)):
+            if not _same_page(locks.get(page), holds.get(page),
+                              waits.get(page)):
                 self._diverge(
                     operation,
                     f"state diverged on page {page!r}",
@@ -159,17 +193,17 @@ class ShadowLockTable(LockTable):
         record for a transaction in no queue shows up only there)."""
         ref = self.reference
         locks = self._locks
-        page_state = ref.page_state
-        for page in dict.fromkeys([*locks, *ref.pages()]):
-            if not _same_page(locks.get(page), page_state(page)):
+        holds = ref._holds
+        waits = ref._waits
+        for page in dict.fromkeys([*locks, *holds, *waits]):
+            if not _same_page(locks.get(page), holds.get(page),
+                              waits.get(page)):
                 return False
         return (sorted(map(id, self._waits))
                 == sorted(map(id, ref.waiters())))
 
     def _compare_grants(self, operation: str, real: List[Grant],
                         ref: List[Grant]) -> None:
-        if not real and not ref:
-            return
         real_c = canonical_grants(real)
         ref_c = canonical_grants(ref)
         if real_c != ref_c:
@@ -179,20 +213,18 @@ class ShadowLockTable(LockTable):
                 f"reference={ref_c!r}",
                 real_grants=real_c, reference_grants=ref_c)
 
-    def _mirror(self, operation: str, real_call, ref_call):
-        """Run the real mutation, then the reference one, and require
-        identical results — including identical protocol errors."""
+    def _mirror(self, operation: str, real_call, ref_call, *args):
+        """Run the real mutation (``real_call(self, *args)``), then the
+        reference one (``ref_call(*args)``), and require identical
+        results — including identical protocol errors."""
         real_exc = ref_exc = None
-        real_result = ref_result = None
-        self._mirroring = True
+        real = ref = None
         try:
-            real_result = real_call()
+            real = real_call(self, *args)
         except LockProtocolError as exc:
             real_exc = exc
-        finally:
-            self._mirroring = False
         try:
-            ref_result = ref_call()
+            ref = ref_call(*args)
         except LockProtocolError as exc:
             ref_exc = exc
         if (real_exc is None) != (ref_exc is None):
@@ -205,20 +237,20 @@ class ShadowLockTable(LockTable):
             # untouched on both, so re-raise the real error unchanged.
             self.ops_checked += 1
             raise real_exc
-        return real_result, ref_result
+        return real, ref
 
     # ------------------------------------------------------------------
     # Mirrored mutations
     # ------------------------------------------------------------------
 
+    # Each passes the real implementation as ``LockTable.<method>``,
+    # looked up per call, and the bound reference method: no closure
+    # is built per operation.
+
     def request(self, txn: Txn, page: Page,
                 mode: LockMode) -> RequestOutcome:
-        if self._mirroring:      # nested call from the real side
-            return super().request(txn, page, mode)
-        real, ref = self._mirror(
-            "request",
-            lambda: super(ShadowLockTable, self).request(txn, page, mode),
-            lambda: self.reference.request(txn, page, mode))
+        real, ref = self._mirror("request", LockTable.request,
+                                 self.reference.request, txn, page, mode)
         if real is not ref:
             self._diverge(
                 "request",
@@ -228,40 +260,37 @@ class ShadowLockTable(LockTable):
         return real
 
     def release(self, txn: Txn, page: Page) -> List[Grant]:
-        if self._mirroring:
-            return super().release(txn, page)
-        real, ref = self._mirror(
-            "release",
-            lambda: super(ShadowLockTable, self).release(txn, page),
-            lambda: self.reference.release(txn, page))
-        self._compare_grants("release", real, ref)
+        real, ref = self._mirror("release", LockTable.release,
+                                 self.reference.release, txn, page)
+        if real or ref:
+            self._compare_grants("release", real, ref)
         self._compare_state("release", (page,))
         return real
 
     def release_all(self, txn: Txn) -> List[Grant]:
-        if self._mirroring:
-            return super().release_all(txn)
-        touched = set(self.held_pages(txn))
-        waited = self.waiting_on(txn)
-        if waited is not None:
-            touched.add(waited)
-        real, ref = self._mirror(
-            "release_all",
-            lambda: super(ShadowLockTable, self).release_all(txn),
-            lambda: self.reference.release_all(txn))
-        self._compare_grants("release_all", real, ref)
+        touched = dict.fromkeys(self._held.get(txn, ()))
+        rec = self._waits.get(txn)
+        if rec is not None:
+            touched[rec.page] = None
+        self._mirroring = True
+        try:
+            real, ref = self._mirror("release_all", LockTable.release_all,
+                                     self.reference.release_all, txn)
+        finally:
+            self._mirroring = False
+        if real or ref:
+            self._compare_grants("release_all", real, ref)
         self._compare_state("release_all", touched)
         return real
 
     def cancel_wait(self, txn: Txn) -> List[Grant]:
-        if self._mirroring:
-            return super().cancel_wait(txn)
-        waited = self.waiting_on(txn)
-        touched = () if waited is None else (waited,)
-        real, ref = self._mirror(
-            "cancel_wait",
-            lambda: super(ShadowLockTable, self).cancel_wait(txn),
-            lambda: self.reference.cancel_wait(txn))
-        self._compare_grants("cancel_wait", real, ref)
+        if self._mirroring:      # nested call from the real release_all
+            return LockTable.cancel_wait(self, txn)
+        rec = self._waits.get(txn)
+        touched = () if rec is None else (rec.page,)
+        real, ref = self._mirror("cancel_wait", LockTable.cancel_wait,
+                                 self.reference.cancel_wait, txn)
+        if real or ref:
+            self._compare_grants("cancel_wait", real, ref)
         self._compare_state("cancel_wait", touched)
         return real

@@ -329,3 +329,33 @@ def test_invariant_checker_catches_desynced_counters(table, txns):
     table._locks[1].num_s += 1                 # corrupt the counter
     with pytest.raises(InvariantViolation, match="holder-mode counters"):
         table.check_invariants()
+
+
+@pytest.mark.parametrize("first, second", [
+    (LockMode.X, LockMode.X),
+    (LockMode.S, LockMode.X),
+    (LockMode.X, LockMode.S),
+])
+def test_invariant_checker_catches_incompatible_holders(table, txns,
+                                                        first, second):
+    # Two holders that can never coexist, planted behind the table's
+    # back with the mode counters and the held index kept consistent,
+    # so only the holder-compatibility test can see the conflict.
+    t1, t2, _ = txns
+    table.request(t1, 1, first)
+    lock = table._locks[1]
+    lock.holders[t2] = second
+    if second is LockMode.S:
+        lock.num_s += 1
+    else:
+        lock.num_x += 1
+    table._held[t2] = {1: None}
+    with pytest.raises(InvariantViolation,
+                       match="incompatible holders on page 1"):
+        table.check_invariants()
+
+
+def test_invariant_checker_accepts_many_readers(table, txns):
+    for txn in txns:
+        table.request(txn, 1, LockMode.S)
+    table.check_invariants()

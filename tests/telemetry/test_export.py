@@ -246,13 +246,13 @@ EDGE_TEXTS = ["", 'say "hi"', "back\\slash", "ctl\x00\x01\t\n\x1f",
 def test_trace_row_matches_sort_keys_encoder():
     from repro.metrics.trace import TraceEvent, TraceEventType
     from repro.telemetry.export import trace_event_to_dict, trace_row
-    events = [TraceEvent(t, kind, txn_id, detail)
-              for t in EDGE_NUMBERS
-              for kind in (TraceEventType.BLOCK, TraceEventType.ABORT)
-              for txn_id in (0, 7, 10 ** 20)
-              for detail in EDGE_TEXTS]
-    for event in events:
-        assert trace_row(event) == _dumps(trace_event_to_dict(event))
+    rows = [(t, kind, txn_id, detail)
+            for t in EDGE_NUMBERS
+            for kind in (TraceEventType.BLOCK, TraceEventType.ABORT)
+            for txn_id in (0, 7, 10 ** 20)
+            for detail in EDGE_TEXTS]
+    for row in rows:
+        assert trace_row(row) == _dumps(trace_event_to_dict(TraceEvent(*row)))
 
 
 def test_span_row_matches_sort_keys_encoder():
@@ -321,3 +321,91 @@ def test_observed_run_exports_equal_the_record_dicts(tiny_params,
         assert (run_dir / name).read_bytes() == \
             (tmp_path / name).read_bytes(), name
     assert validate_run_dir(run_dir) == []
+
+
+def test_observed_shape_rows_equal_the_encoder_of_each_record(tmp_path):
+    # The benchmark's observed shape (100 terminals, 1000 pages, every
+    # observer and the default verification): each exported row is, byte
+    # for byte, the shared encoder applied to its record's dict.
+    from repro.dbms.config import SimulationParameters
+    from repro.telemetry.export import _ENCODER, trace_event_to_dict
+    from repro.verify import VerifyConfig
+    params = SimulationParameters(num_terms=100, db_size=1000, seed=1,
+                                  warmup_time=10.0, num_batches=1,
+                                  batch_time=10.0)
+    run_dir = tmp_path / "run"
+    session = TelemetrySession(run_dir, spans=True, contention=True,
+                               online=True)
+    run_simulation(params, HalfAndHalfController(), telemetry=session,
+                   verify=VerifyConfig())
+    expected = {
+        "trace.jsonl": [trace_event_to_dict(e) for e in session.tracer],
+        "spans.jsonl": [s.to_dict() for s in session.spans],
+        "decisions.jsonl": [d.to_dict() for d in session.decisions],
+    }
+    for name, records in expected.items():
+        lines = (run_dir / name).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(records) > 100, name
+        for line, record in zip(lines, records):
+            assert line == _ENCODER.encode(record), name
+
+
+def test_row_encoders_fall_back_only_for_what_they_cannot_type(
+        monkeypatch):
+    # Hand-built rows: None in the optional span fields, text with
+    # quotes and non-ASCII characters, and non-finite floats.  Every
+    # row must equal the encoder's bytes for its record; only the rows
+    # carrying a non-finite float may reach the encoder.
+    import repro.telemetry.export as export
+    from repro.metrics.trace import TraceEvent, TraceEventType
+    from repro.telemetry.decisions import ControllerDecision
+    from repro.telemetry.spans import Span, SpanKind
+    encoder = export._ENCODER
+    fallbacks = []
+
+    class CountingEncoder:
+        def encode(self, obj):
+            fallbacks.append(obj)
+            return encoder.encode(obj)
+
+    monkeypatch.setattr(export, "_ENCODER", CountingEncoder())
+    text = 'say "hi" \\ café 日本 \U0001f600'
+    nan, inf = float("nan"), float("inf")
+    typed = [
+        (export.span_row, (3, SpanKind.CPU, 1.0, 2.5, 1, None, None, None),
+         lambda row: Span(*row).to_dict()),
+        (export.span_row,
+         (4, SpanKind.LOCK_WAIT, 1.0, 2.5, 2, 17, None, None),
+         lambda row: Span(*row).to_dict()),
+        (export.span_row, (4, SpanKind.LOCK_WAIT, 1.0, 2.5, 2, 17, 9, 3),
+         lambda row: Span(*row).to_dict()),
+        (export.trace_row, (1.5, TraceEventType.BLOCK, 7, text),
+         lambda row: export.trace_event_to_dict(TraceEvent(*row))),
+        (export.decision_row,
+         ControllerDecision(time=2.0, controller="c", action="admit",
+                            detail=text),
+         ControllerDecision.to_dict),
+        (export.decision_row,
+         ControllerDecision(time=2.0, controller="c", action="abort",
+                            region="overloaded", n_active=3, n_state1=1,
+                            n_state3=2, txn_id=42, measure=4,
+                            threshold=0.5),
+         ControllerDecision.to_dict),
+    ]
+    for encode, record, to_dict in typed:
+        assert encode(record) == encoder.encode(to_dict(record))
+    assert fallbacks == []
+    untyped = [
+        (export.span_row, (3, SpanKind.DISK, 1.0, inf, 1, None, None, None),
+         lambda row: Span(*row).to_dict()),
+        (export.trace_row, (nan, TraceEventType.ABORT, 7, text),
+         lambda row: export.trace_event_to_dict(TraceEvent(*row))),
+        (export.decision_row,
+         ControllerDecision(time=2.0, controller="c", action="refit",
+                            measure=nan, threshold=-inf),
+         ControllerDecision.to_dict),
+    ]
+    for encode, record, to_dict in untyped:
+        before = len(fallbacks)
+        assert encode(record) == encoder.encode(to_dict(record))
+        assert len(fallbacks) == before + 1

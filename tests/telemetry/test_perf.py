@@ -345,3 +345,75 @@ def test_validate_record_checks_scalar_and_array_items():
     assert errors and "weights[1]" in errors[0]
     errors = validate_record({"samples": [[0], 3]}, schema)
     assert errors and "samples[1]" in errors[0]
+
+
+# ---------------------------------------------------------------------------
+# counting profiler vs timed profiler
+
+
+def test_counting_profiler_counts_are_deterministic(tiny_params):
+    profilers = []
+    for _ in range(2):
+        profiler = EngineProfiler()
+        run_simulation(tiny_params, NoControlController(),
+                       profiler=profiler)
+        profilers.append(profiler)
+    first, second = profilers
+    assert first.events > 0
+    assert first.events == sum(n for n, _ in first.by_subsystem.values())
+    for table in ("by_subsystem", "by_event_type"):
+        counts = [{name: bucket[0]
+                   for name, bucket in getattr(p, table).items()}
+                  for p in profilers]
+        assert counts[0] == counts[1], table
+    # No per-event timing: callback seconds stay zero, the tally is
+    # folded away at the end of each run, and the loop itself is timed.
+    assert first.callback_seconds == 0.0
+    assert all(s == 0.0 for _, s in first.by_event_type.values())
+    assert first.tally == {}
+    assert first.loop_seconds > 0.0
+    summary = first.summary()
+    assert "callback_seconds" not in summary
+    assert all(set(bucket) == {"events"}
+               for bucket in summary["subsystems"].values())
+    assert summary["wall_seconds"] == first.loop_seconds
+
+
+def test_perf_profile_keeps_per_event_seconds(profiled_pair):
+    root, _ = profiled_pair
+    loop = json.loads(
+        (root / "perf" / "profile.json").read_text())["event_loop"]
+    assert loop["callback_seconds"] > 0.0
+    assert all("seconds" in bucket for bucket in loop["subsystems"].values())
+    assert sum(b["seconds"] for b in loop["event_types"].values()) > 0.0
+    plain = json.loads(
+        (root / "plain" / "profile.json").read_text())["event_loop"]
+    assert "callback_seconds" not in plain
+    assert plain["events"] == loop["events"]
+    assert ({name: b["events"] for name, b in plain["subsystems"].items()}
+            == {name: b["events"]
+                for name, b in loop["subsystems"].items()})
+
+
+def test_dashboard_ranks_counting_profile_by_events(profiled_pair):
+    from repro.telemetry.report import render_run_report
+    root, _ = profiled_pair
+    report = render_run_report(root / "plain")
+    assert "event loop:" in report
+    assert "% of events" in report
+    assert "% of callback time" in render_run_report(root / "perf")
+
+
+def test_profile_json_validates_in_both_shapes(profiled_pair, tmp_path):
+    from repro.telemetry import PROFILE_SCHEMA
+    root, _ = profiled_pair
+    for name in ("plain", "perf"):
+        profile = json.loads((root / name / "profile.json").read_text())
+        assert validate_record(profile, PROFILE_SCHEMA) == []
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_text(
+        (root / "plain" / "manifest.json").read_text())
+    (bad / "profile.json").write_text(
+        json.dumps({"wall_time_seconds": 1.0, "event_loop": {"events": 3}}))
+    assert any("profile.json" in e for e in validate_run_dir(bad))

@@ -226,6 +226,26 @@ def test_swapped_queue_waiters_diverge():
     assert exc_info.value.evidence["page"] == "p"
 
 
+def test_swapped_upgraders_diverge():
+    table, _txns = _two_waiter_table()
+    waits = table.reference._waits["p"]
+    waits[0], waits[1] = waits[1], waits[0]
+    with pytest.raises(ShadowDivergence) as exc_info:
+        table.request(_Txn(4), "p", S)
+    assert exc_info.value.evidence["page"] == "p"
+
+
+def test_queued_waiter_mode_mismatch_diverges():
+    # Same waiters in the same order; only one queued request's mode
+    # differs, which the canonical dumps would show but the object
+    # compare must catch on its own.
+    table, _txns = _two_waiter_table()
+    table.reference._waits["p"][3].mode = X
+    with pytest.raises(ShadowDivergence) as exc_info:
+        table.request(_Txn(4), "p", S)
+    assert exc_info.value.evidence["page"] == "p"
+
+
 def test_dropped_upgrader_diverges():
     table, (_t0, t1, _t2, _t3) = _two_waiter_table()
     waits = table.reference._waits["p"]

@@ -6,11 +6,15 @@ Usage, from the root of a checkout::
     python3 tools/callcount.py --workload contended --seed 1
     python3 tools/callcount.py --workload all > callcount.txt
 
-Runs one repetition of a benchmark workload (the shapes defined in
-``perfbench/workloads.py``: ``contended``, ``observed``,
-``distributed``) under cProfile and prints the total number of Python
-calls, the number of simulated events, calls per event, and a table of
-calls per event by calling module and by calling function.
+Runs one warm-up repetition of a benchmark workload (the shapes
+defined in ``perfbench/workloads.py``: ``contended``, ``observed``,
+``distributed``), so that lazy imports and first-use caches are not
+counted, then a second one with cProfile switched on only inside
+``run_simulation`` / ``run_distributed_simulation``: the part the
+benchmark's ``wall_s`` times, without workload setup or the export
+validation that runs after the timer stops.  It prints the total number
+of Python calls, the number of simulated events, calls per event, and a
+table of calls per event by calling module and by calling function.
 
 Call counts do not move with host load, so they tell a change in the
 work done per event apart from noise that a wall-clock pair cannot
@@ -52,11 +56,15 @@ def _caller_label(func) -> str:
 
 
 def count(workload: str, seed: int):
-    """Profile one repetition; returns (total calls, events, per-caller
-    call counts keyed by ``module:function``)."""
+    """Profile the timed part of one repetition, after a warm-up one;
+    returns (total calls, events, per-caller call counts keyed by
+    ``module:function``)."""
     import workloads
+    from repro.distributed import runner as distributed_runner
+    from repro.experiments import runner
     from repro.sim.engine import Simulator
 
+    profile = cProfile.Profile()
     events = [0]
     run = Simulator.run
 
@@ -65,16 +73,32 @@ def count(workload: str, seed: int):
         events[0] += fired
         return fired
 
-    Simulator.run = counted_run
-    try:
-        with tempfile.TemporaryDirectory() as work_dir:
-            job = workloads.build(workload, seed, Path(work_dir))
-            profile = cProfile.Profile()
+    def profiled(func):
+        def timed_part(*args, **kwargs):
             profile.enable()
+            try:
+                return func(*args, **kwargs)
+            finally:
+                profile.disable()
+        return timed_part
+
+    patches = ((Simulator, "run", counted_run),
+               (runner, "run_simulation",
+                profiled(runner.run_simulation)),
+               (distributed_runner, "run_distributed_simulation",
+                profiled(distributed_runner.run_distributed_simulation)))
+    with tempfile.TemporaryDirectory() as work_dir:
+        job = workloads.build(workload, seed, Path(work_dir))
+        job.rep()                       # warm-up, not counted
+        originals = [(owner, name, getattr(owner, name))
+                     for owner, name, _ in patches]
+        for owner, name, patched in patches:
+            setattr(owner, name, patched)
+        try:
             rep = job.rep()
-            profile.disable()
-    finally:
-        Simulator.run = run
+        finally:
+            for owner, name, original in originals:
+                setattr(owner, name, original)
     if rep.failed:
         raise SystemExit(f"{workload}: run failed: {rep.problems}")
     stats = pstats.Stats(profile).stats
