@@ -5,9 +5,9 @@ Two operating modes, selected by :attr:`Network.active`:
 * **Pure delay** (failure model off — the default): a message between
   distinct sites is a single calendar event ``msg_delay`` in the
   future; a same-site "message" is an inline call.  This reproduces
-  the original constant-delay model *byte for byte*: the same
-  ``sim.schedule`` calls with the same callbacks in the same order,
-  and no random-stream consumption.
+  the original constant-delay model *byte for byte*: the same calendar
+  entries with the same callbacks in the same order, and no
+  random-stream consumption.
 
 * **Failure-realistic** (``params.failure_model`` or an installed
   fault plan): per-message latency is ``msg_delay`` plus an
@@ -36,7 +36,7 @@ every optional subsystem here follows.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.distributed.config import DistributedParameters
 from repro.sim.engine import Simulator
@@ -87,22 +87,27 @@ class Network:
             are consumed only when active and configured non-zero).
         params: distributed parameters (latency/loss/retry knobs).
         active: failure-realistic mode switch, fixed at construction.
-        site_up: predicate for "is this site currently up?".
-        on_deliver: invoked as ``on_deliver(dst, src)`` whenever a
-            message from ``src`` reaches a live ``dst`` — the liveness
-            signal behind degraded-mode admission.
+        site_up: ``site_up[i]`` is true while site ``i`` is up.  The
+            network keeps the sequence itself, not a copy, and reads it
+            at every send and delivery, so a crash or a recovery written
+            into it after construction takes effect at once.
+        last_heard: ``last_heard[dst][src]`` is set to the current time
+            whenever a message from ``src`` reaches a live ``dst`` — the
+            liveness signal behind degraded-mode admission.  Read
+            through the outer sequence at each delivery, so a row
+            replaced after construction is the one written.
     """
 
     def __init__(self, sim: Simulator, streams: RandomStreams,
                  params: DistributedParameters, active: bool,
-                 site_up: Callable[[int], bool],
-                 on_deliver: Callable[[int, int], None]):
+                 site_up: Sequence[bool],
+                 last_heard: Sequence[List[float]]):
         self.sim = sim
         self.streams = streams
         self.params = params
         self.active = active
         self.site_up = site_up
-        self.on_deliver = on_deliver
+        self.last_heard = last_heard
         # Installed by SiteFaultPlan.install(); consulted by pure time
         # comparison so partition state needs no events of its own.
         self.partitions: List[Any] = []
@@ -124,8 +129,8 @@ class Network:
         """Deliver ``fn(*args)`` at ``dst``, best-effort.
 
         Same-site sends never touch the network (inline call).  In
-        pure-delay mode a remote send is exactly today's
-        ``sim.schedule(msg_delay, fn, *args)``.
+        pure-delay mode a remote send is exactly the constant-delay
+        model's ``sim.post(msg_delay, fn, *args)``.
         """
         if src == dst:
             fn(*args)
@@ -134,26 +139,34 @@ class Network:
             # Fast path: byte-identical to the pure-delay model.
             delay = self.params.msg_delay
             if delay > 0.0:
-                self.sim.schedule(delay, fn, *args)
+                self.sim.post(delay, fn, *args)
             else:
                 fn(*args)
             return
         self.sent += 1
-        if not self.site_up(src) or not self.site_up(dst):
+        # Liveness, partitions and loss, each read or drawn only when it
+        # can matter: the partition scan only while windows are
+        # installed, the loss stream only for a non-zero probability.
+        site_up = self.site_up
+        if not (site_up[src] and site_up[dst]):
             self.dropped_down += 1
             return
-        if self._severed(src, dst):
+        if self.partitions and self._severed(src, dst):
             self.dropped_partition += 1
             return
-        if self.streams.bernoulli("net_loss", self.params.msg_loss_prob):
+        params = self.params
+        if (params.msg_loss_prob > 0.0
+                and self.streams.bernoulli("net_loss",
+                                           params.msg_loss_prob)):
             self.lost += 1
             return
-        latency = self.params.msg_delay
-        if self.params.msg_jitter > 0.0:
+        latency = params.msg_delay
+        if params.msg_jitter > 0.0:
             latency += self.streams.exponential("net_jitter",
-                                                self.params.msg_jitter)
+                                                params.msg_jitter)
         if latency > 0.0:
-            self.sim.schedule(latency, self._deliver, src, dst, fn, args)
+            # No handle: an in-flight message is never cancelled.
+            self.sim.post(latency, self._deliver, src, dst, fn, args)
         else:
             self._deliver(src, dst, fn, args)
 
@@ -161,11 +174,11 @@ class Network:
                  fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         # The destination may have crashed while the message was in
         # flight; a down site consumes nothing.
-        if not self.site_up(dst):
+        if not self.site_up[dst]:
             self.dropped_down += 1
             return
         self.delivered += 1
-        self.on_deliver(dst, src)
+        self.last_heard[dst][src] = self.sim.now
         fn(*args)
 
     def _severed(self, a: int, b: int) -> bool:
@@ -193,7 +206,7 @@ class Network:
     def _attempt(self, call: ReliableCall) -> None:
         if call.settled:
             return
-        if not self.site_up(call.src):
+        if not self.site_up[call.src]:
             # The sender crashed: its retransmitter died with it.
             call.settle()
             return
@@ -201,11 +214,14 @@ class Network:
         if call.attempts > 1:
             self.retransmissions += 1
         self.send(call.src, call.dst, call.fn, *call.args)
-        timeout = min(
-            self.params.msg_timeout
-            * self.params.msg_backoff ** (call.attempts - 1),
-            self.params.msg_backoff_cap)
-        self.sim.schedule(timeout, self._timeout, call)
+        params = self.params
+        timeout = (params.msg_timeout
+                   * params.msg_backoff ** (call.attempts - 1))
+        if timeout > params.msg_backoff_cap:
+            timeout = params.msg_backoff_cap
+        # No handle: a settled exchange's timeout fires as a no-op
+        # rather than being cancelled.
+        self.sim.post(timeout, self._timeout, call)
 
     def _timeout(self, call: ReliableCall) -> None:
         if call.settled:

@@ -76,8 +76,8 @@ above — the same zero-cost-off contract as telemetry and verify.
 from __future__ import annotations
 
 from itertools import chain
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Optional, Set)
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Dict,
+                    Iterator, List, Optional, Set)
 
 from repro.core.maturity import MaturityRule
 from repro.core.state_tracker import StateTracker
@@ -139,12 +139,13 @@ class _RemoteOp:
     carry the op object itself, and handlers ignore anything that is
     not the transaction's *current* op."""
 
-    __slots__ = ("txn", "site", "page", "work", "resume", "call",
+    __slots__ = ("txn", "home", "site", "page", "work", "resume", "call",
                  "started", "replied")
 
-    def __init__(self, txn: Transaction, site: _Site, page: int,
+    def __init__(self, txn: Transaction, home: int, site: _Site, page: int,
                  work: SiteWork):
         self.txn = txn
+        self.home = home                # the transaction's home site id
         self.site = site
         self.page = page
         self.work = work
@@ -178,18 +179,25 @@ class _GlobalLockView:
                 return site
         return None
 
+    # is_waiting and blocking_order run per deadlock-detection step:
+    # they go to the current page's owner without waiting_site's frame.
+
     def is_waiting(self, txn: Transaction) -> bool:
-        return self.waiting_site(txn) is not None
+        readset, step = txn.readset, txn.step_index
+        return (step < len(readset)
+                and self._site_of[readset[step]].lock_table.is_waiting(txn))
 
     def waiting_on(self, txn: Transaction) -> Optional[int]:
         site = self.waiting_site(txn)
         return None if site is None else site.lock_table.waiting_on(txn)
 
     def blocking_order(self, txn: Transaction) -> List[Transaction]:
-        site = self.waiting_site(txn)
-        if site is None:
-            return []
-        return site.lock_table.blocking_order(txn)
+        # The owner's table answers [] for a transaction not waiting.
+        readset, step = txn.readset, txn.step_index
+        if step < len(readset):
+            return self._site_of[readset[step]].lock_table.blocking_order(
+                txn)
+        return []
 
     def blocking_set(self, txn: Transaction) -> Set[Transaction]:
         site = self.waiting_site(txn)
@@ -205,12 +213,20 @@ class _GlobalLockView:
         return [txn for site in self._sites
                 for txn in site.lock_table.waiting_transactions()]
 
+    # The per-event queries below loop rather than feed any()/sum() a
+    # generator that resumes once per site.
+
     def is_blocking_others(self, txn: Transaction) -> bool:
-        return any(site.lock_table.is_blocking_others(txn)
-                   for site in self._sites)
+        for site in self._sites:
+            if site.lock_table.is_blocking_others(txn):
+                return True
+        return False
 
     def num_held(self, txn: Transaction) -> int:
-        return sum(site.lock_table.num_held(txn) for site in self._sites)
+        held = 0
+        for site in self._sites:
+            held += site.lock_table.num_held(txn)
+        return held
 
     def held_pages(self, txn: Transaction) -> Set[int]:
         return set().union(*(site.lock_table.held_pages(txn)
@@ -222,6 +238,9 @@ class _GlobalLockView:
 
     def holders(self, page: int) -> Dict[Transaction, LockMode]:
         return self._site_of[page].lock_table.holders(page)
+
+    def holder_modes(self, page: int) -> Collection[LockMode]:
+        return self._site_of[page].lock_table.holder_modes(page)
 
     def num_waiters(self, page: int) -> int:
         return self._site_of[page].lock_table.num_waiters(page)
@@ -253,27 +272,49 @@ class _ClusterTracker(StateTracker):
         self._by_terminal[txn.terminal_id].remove(txn, now)
         super().remove(txn, now)
 
+    # Each move below is one step between two buckets, as in
+    # StateTracker; the home tracker moves its own buckets and flips the
+    # transaction's flag.
+
     def set_blocked(self, txn: Transaction, blocked: bool,
                     now: float) -> None:
         if txn not in self._active:
             raise self._not_active(txn, now)
         if txn.is_blocked == blocked:
             return
-        self._bucket_delta(txn, -1)
-        # The home tracker moves its own buckets and flips the flag.
         self._by_terminal[txn.terminal_id].set_blocked(txn, blocked, now)
-        self._bucket_delta(txn, +1)
-        self._publish(now)
+        if txn.is_mature:
+            if blocked:
+                self.n_state1 -= 1
+                self.n_state3 += 1
+            else:
+                self.n_state3 -= 1
+                self.n_state1 += 1
+        elif blocked:
+            self.n_state2 -= 1
+            self.n_state4 += 1
+        else:
+            self.n_state4 -= 1
+            self.n_state2 += 1
+        self._collector.set_populations(
+            now, self.n_active, self.n_state1, self.n_state2,
+            self.n_state3, self.n_state4)
 
     def set_mature(self, txn: Transaction, now: float) -> None:
         if txn not in self._active:
             raise self._not_active(txn, now)
         if txn.is_mature:
             return
-        self._bucket_delta(txn, -1)
         self._by_terminal[txn.terminal_id].set_mature(txn, now)
-        self._bucket_delta(txn, +1)
-        self._publish(now)
+        if txn.is_blocked:
+            self.n_state4 -= 1
+            self.n_state3 += 1
+        else:
+            self.n_state2 -= 1
+            self.n_state1 += 1
+        self._collector.set_populations(
+            now, self.n_active, self.n_state1, self.n_state2,
+            self.n_state3, self.n_state4)
 
 
 class _ClusterReadyQueue:
@@ -291,7 +332,12 @@ class _ClusterReadyQueue:
         self._by_terminal[txn.terminal_id].push(txn)
 
     def __len__(self) -> int:
-        return sum(len(queue) for queue in self._queues)
+        # Runs at every admission and queueing: a loop, not sum() over a
+        # generator that resumes once per site.
+        length = 0
+        for queue in self._queues:
+            length += len(queue)
+        return length
 
     def __iter__(self) -> Iterator[Transaction]:
         return chain.from_iterable(self._queues)
@@ -377,11 +423,13 @@ class DistributedSystem(DBMSSystem):
         self._site_up = [True] * params.num_sites
         self._degraded = [False] * params.num_sites
         # _last_heard[i][j]: when site i last received anything from j.
+        # The network stamps it at each delivery: any delivered message
+        # doubles as a liveness signal.
         self._last_heard = [[0.0] * params.num_sites
                             for _ in range(params.num_sites)]
         self.network = Network(self.sim, self.streams, params,
-                               self.failure_mode, self._site_up.__getitem__,
-                               self._note_heard)
+                               self.failure_mode, self._site_up,
+                               self._last_heard)
         # Per-site prepared participants: txn_id -> the transaction
         # whose locks there stay frozen until the coordinator's decision
         # arrives (or the presumed-abort timer resolves them).
@@ -459,7 +507,7 @@ class DistributedSystem(DBMSSystem):
 
     def _arrival(self, txn: Transaction) -> None:
         if self.failure_mode:
-            home = self.home_of(txn)
+            home = self.terminal_home[txn.terminal_id]
             if not self._site_up[home]:
                 self._parked_txns.setdefault(home, []).append(txn)
                 return
@@ -487,7 +535,7 @@ class DistributedSystem(DBMSSystem):
             else:
                 self.local_accesses += 1
         if remote and self.failure_mode:
-            self._begin_remote_op(txn, page, site, work)
+            self._begin_remote_op(txn, home, page, site, work)
         else:
             self.network.send(home, site.site_id, work, txn, page, site)
 
@@ -516,7 +564,7 @@ class DistributedSystem(DBMSSystem):
         """Commit, after a prepare round if other sites hold locks."""
         # Read-only transactions too: wound-wait spares them from here.
         txn.phase = TxnPhase.UPDATING
-        home = self.home_of(txn)
+        home = self.terminal_home[txn.terminal_id]
         remote = [site.site_id for site in self._sites
                   if site.site_id != home
                   and site.lock_table.num_held(txn)]
@@ -534,12 +582,12 @@ class DistributedSystem(DBMSSystem):
             self._commit_point(txn)
 
     def _commit_point(self, txn: Transaction) -> None:
-        self.site_commits[self.home_of(txn)] += 1
+        self.site_commits[self.terminal_home[txn.terminal_id]] += 1
         super()._commit(txn)
 
     def _release_locks(self, txn: Transaction) -> None:
         if txn.phase is TxnPhase.COMMITTED:
-            home = self.home_of(txn)
+            home = self.terminal_home[txn.terminal_id]
             if self.failure_mode:
                 # Home locks release now; a prepared participant's when
                 # the decision reaches it.
@@ -591,15 +639,15 @@ class DistributedSystem(DBMSSystem):
         rec = self._twopc.get(txn)
         if rec is None or rec.gen != gen:
             return              # stale: the attempt was already decided
-        home = self.home_of(txn)
+        home = self.terminal_home[txn.terminal_id]
         if txn.txn_id in self._indoubt[p]:
             # Duplicate prepare: the vote was lost; vote again.
             self.network.send(p, home, self._vote_at, txn, p, gen)
             return
         self._indoubt[p][txn.txn_id] = txn
         self._log_site_event(p, "indoubt_hold", txn_id=txn.txn_id)
-        self.sim.schedule(self.params.indoubt_timeout,
-                          self._indoubt_timer, p, txn.txn_id)
+        self.sim.post(self.params.indoubt_timeout,
+                      self._indoubt_timer, p, txn.txn_id)
         self.network.send(p, home, self._vote_at, txn, p, gen)
 
     def _vote_at(self, txn: Transaction, p: int, gen: int) -> None:
@@ -635,14 +683,17 @@ class DistributedSystem(DBMSSystem):
             return
         for call in rec.calls.values():
             call.settle()
-        waiters = sum(1 for p in rec.participants
-                      if txn.txn_id in self._indoubt[p])
+        txn_id, indoubt = txn.txn_id, self._indoubt
+        waiters = 0
+        for p in rec.participants:
+            if txn_id in indoubt[p]:
+                waiters += 1
         if waiters:
             # The record is the durable log entry the presumed-abort
             # timer consults; garbage-collected once every in-doubt
             # participant has resolved.
-            self.decision_record[txn.txn_id] = decision
-            self._decision_waiters[txn.txn_id] = waiters
+            self.decision_record[txn_id] = decision
+            self._decision_waiters[txn_id] = waiters
         if decision == "commit":
             self._commit_point(txn)
         else:
@@ -652,7 +703,7 @@ class DistributedSystem(DBMSSystem):
     def _send_decisions(self, txn: Transaction) -> None:
         # Best-effort notification of every prepared participant; the
         # in-doubt timer is the guaranteed fallback.
-        home = self.home_of(txn)
+        home = self.terminal_home[txn.terminal_id]
         for p, indoubt in enumerate(self._indoubt):
             if txn.txn_id in indoubt:
                 self.network.send(home, p, self._decision_at,
@@ -703,8 +754,8 @@ class DistributedSystem(DBMSSystem):
             # A down site can act on nothing (recovery resolves its
             # residual entries, or this timer does, after it); a live,
             # undecided coordinator is waited for.
-            self.sim.schedule(self.params.indoubt_timeout,
-                              self._indoubt_timer, p, txn_id)
+            self.sim.post(self.params.indoubt_timeout,
+                          self._indoubt_timer, p, txn_id)
             return
         self._resolve_indoubt_entry(
             p, txn_id, decision if decision is not None else "abort",
@@ -714,15 +765,15 @@ class DistributedSystem(DBMSSystem):
     # Remote page/write exchanges (failure mode)
     # ------------------------------------------------------------------
 
-    def _begin_remote_op(self, txn: Transaction, page: int, site: _Site,
-                         work: SiteWork) -> None:
-        op = _RemoteOp(txn, site, page, work)
+    def _begin_remote_op(self, txn: Transaction, home: int, page: int,
+                         site: _Site, work: SiteWork) -> None:
+        op = _RemoteOp(txn, home, site, page, work)
         self._inflight[txn] = op
         self._call_owner(op)
 
     def _call_owner(self, op: _RemoteOp) -> None:
         op.call = self.network.call(
-            self.home_of(op.txn), op.site.site_id, self._remote_op_request,
+            op.home, op.site.site_id, self._remote_op_request,
             op, on_fail=lambda: self._remote_op_failed(op))
 
     def _remote_op_request(self, op: _RemoteOp) -> None:
@@ -738,7 +789,7 @@ class DistributedSystem(DBMSSystem):
         op.work(op.txn, op.page, op.site)
 
     def _send_reply(self, op: _RemoteOp) -> None:
-        self.network.send(op.site.site_id, self.home_of(op.txn),
+        self.network.send(op.site.site_id, op.home,
                           self._remote_op_reply, op)
 
     def _remote_op_reply(self, op: _RemoteOp) -> None:
@@ -753,7 +804,7 @@ class DistributedSystem(DBMSSystem):
         """The exchange ran out of retries."""
         if self._inflight.get(op.txn) is not op:
             return
-        if self._reachable(self.home_of(op.txn), op.site.site_id):
+        if self._reachable(op.home, op.site.site_id):
             # The owner is reachable — the work is simply outstanding
             # (a long lock wait, a deep disk queue, or lost replies).
             # Re-arm rather than abort: retransmitted requests are
@@ -770,11 +821,15 @@ class DistributedSystem(DBMSSystem):
         if its visit was torn down or the transaction committed."""
         if txn.phase is TxnPhase.COMMITTED:
             return False
-        op = self._inflight.get(txn)
+        # Membership and subscript, not dict.get: this runs at every
+        # lock request, page read and write.
+        inflight = self._inflight
         if site.site_id == self.terminal_home[txn.terminal_id]:
-            return op is None
-        return (op is not None and op.site is site and op.started
-                and not op.replied)
+            return txn not in inflight
+        if txn not in inflight:
+            return False
+        op = inflight[txn]
+        return op.site is site and op.started and not op.replied
 
     # ------------------------------------------------------------------
     # Aborts
@@ -826,10 +881,6 @@ class DistributedSystem(DBMSSystem):
         return not any(p.severs(a, b, now)
                        for p in self.network.partitions)
 
-    def _note_heard(self, dst: int, src: int) -> None:
-        """Any delivered message doubles as a liveness signal."""
-        self._last_heard[dst][src] = self.sim.now
-
     def _admission_open(self, site: int) -> bool:
         """May ``site`` admit another home transaction right now?"""
         if not self._site_up[site]:
@@ -848,12 +899,12 @@ class DistributedSystem(DBMSSystem):
                     self.network.send(site, other,
                                       self._heartbeat_noop)
             self._check_suspects(site)
-        self.sim.schedule(self.params.heartbeat_interval,
-                          self._heartbeat, site)
+        self.sim.post(self.params.heartbeat_interval,
+                      self._heartbeat, site)
 
     def _heartbeat_noop(self) -> None:
-        """Heartbeat payload: delivery itself (``_note_heard``) is the
-        signal."""
+        """Heartbeat payload: delivery itself (the network's
+        ``last_heard`` stamp) is the signal."""
 
     def _check_suspects(self, site: int) -> None:
         now = self.sim.now
@@ -981,15 +1032,14 @@ class DistributedSystem(DBMSSystem):
 
     def teardown(self) -> None:
         """:meth:`DBMSSystem.teardown` (which also clears every home
-        ready queue's observer), plus the site views' and the network's
-        links back to the system, and the remote visits and 2PC attempts
-        still in flight (their exchanges settled).
+        ready queue's observer), plus the site views' links back to the
+        system, and the remote visits and 2PC attempts still in flight
+        (their exchanges settled).
         ``site_stats()``, ``remote_fraction()`` and ``network.stats()``
         stay readable."""
         super().teardown()
         for view in self.site_views:
             view._system = None
-        self.network.on_deliver = None
         # A visit and its exchange point at each other until settled.
         for op in self._inflight.values():
             op.call.settle()

@@ -29,6 +29,16 @@ class DistributedWorkload(WorkloadGenerator):
         super().__init__(streams)
         self.params = params
         self.partition = partition
+        self._dist_rng = streams.stream("dist_page_choice")
+        # Per home site: the first home page, the home and remote page
+        # counts and the bit count each draws with (see _draw_pages).
+        self._regions = []
+        for site in range(partition.num_sites):
+            lo, hi = partition.range_of(site)
+            home_pages = hi - lo
+            remote_pages = params.db_size - home_pages
+            self._regions.append((lo, home_pages, home_pages.bit_length(),
+                                  remote_pages, remote_pages.bit_length()))
 
     @property
     def name(self) -> str:
@@ -41,36 +51,68 @@ class DistributedWorkload(WorkloadGenerator):
         return terminal_id % self.partition.num_sites
 
     def _draw_pages(self, home: int, count: int) -> List[int]:
-        params, partition = self.params, self.partition
-        rng = self.streams.stream("dist_page_choice")
-        lo, hi = partition.range_of(home)
-        home_pages = hi - lo
-        remote_pages = params.db_size - home_pages
+        params = self.params
         if count > params.db_size:
             raise WorkloadError(
                 f"readset of {count} exceeds database of "
                 f"{params.db_size} pages")
+        rng = self._dist_rng
+        random, getrandbits = rng.random, rng.getrandbits
+        lo, home_pages, home_bits, remote_pages, remote_bits = \
+            self._regions[home]
+        locality = params.locality
+        # Each page is ``lo + randrange(home_pages)`` with probability
+        # ``locality`` and ``randrange(remote_pages)`` mapped around the
+        # home range otherwise.  ``randrange(n)`` is a rejection loop
+        # over ``getrandbits(n.bit_length())`` (see
+        # DiskArray.access_random); spelled out here with the bit counts
+        # computed once, it draws the same bits.
         chosen: Set[int] = set()
+        drawn = 0
         guard = 0
-        while len(chosen) < count:
+        limit = 50 * count + 200
+        while drawn < count:
             guard += 1
-            if guard > 50 * count + 200:
+            if guard > limit:
                 # Degenerate region exhausted (e.g. tiny home partition
                 # with locality 1.0): fall back to uniform fill.
                 remaining = [p for p in range(params.db_size)
                              if p not in chosen]
-                fill = rng.sample(remaining, count - len(chosen))
-                chosen.update(fill)
+                chosen.update(rng.sample(remaining, count - drawn))
                 break
-            local = rng.random() < params.locality
-            if local or remote_pages == 0:
-                page = lo + rng.randrange(home_pages)
+            if random() < locality or remote_pages == 0:
+                page = getrandbits(home_bits)
+                while page >= home_pages:
+                    page = getrandbits(home_bits)
+                page += lo
             else:
-                offset = rng.randrange(remote_pages)
-                page = offset if offset < lo else offset + home_pages
-            chosen.add(page)
+                page = getrandbits(remote_bits)
+                while page >= remote_pages:
+                    page = getrandbits(remote_bits)
+                if page >= lo:
+                    page += home_pages
+            # Adding only new pages builds the same set as adding every
+            # draw: adding a member changes nothing.
+            if page not in chosen:
+                chosen.add(page)
+                drawn += 1
         ordered = list(chosen)
-        rng.shuffle(ordered)
+        # ``rng.shuffle(ordered)``: for each size n from the length down
+        # to 2, swap the last of the first n with ``randrange(n)``; the
+        # bit count of n falls by one each time n drops below a power
+        # of two.
+        size = count
+        bits = size.bit_length()
+        floor = (1 << bits) >> 1            # the least size with ``bits``
+        while size > 1:
+            if size < floor:
+                bits -= 1
+                floor >>= 1
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            size -= 1
+            ordered[size], ordered[j] = ordered[j], ordered[size]
         return ordered
 
     def make_transaction(self, txn_id: int, terminal_id: int,
@@ -79,9 +121,16 @@ class DistributedWorkload(WorkloadGenerator):
         home = self.home_site_of_terminal(terminal_id)
         size = sample_readset_size(self.streams, params.tran_size)
         readset = self._draw_pages(home, size)
-        writeset = {page for page in readset
-                    if self.streams.bernoulli("write_choice",
-                                              params.write_prob)}
+        # A per-page bernoulli("write_choice", write_prob) with the
+        # stream bound once, as WorkloadGenerator._build draws it.
+        write_prob = params.write_prob
+        if write_prob <= 0.0:
+            writeset: Set[int] = set()
+        elif write_prob >= 1.0:
+            writeset = set(readset)
+        else:
+            rand = self._write_rng.random
+            writeset = {page for page in readset if rand() < write_prob}
         return Transaction(txn_id=txn_id, terminal_id=terminal_id,
                            timestamp=now, readset=readset,
                            writeset=writeset,

@@ -25,7 +25,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Hashable, List, Optional, Set, Tuple
+from typing import (Any, Collection, Deque, Dict, Hashable, List, Optional,
+                    Set, Tuple)
 
 from repro.errors import InvariantViolation, LockProtocolError
 from repro.lockmgr.modes import LockMode, compatible
@@ -124,6 +125,12 @@ class LockTable:
         """Current holders of a page lock (copy)."""
         lock = self._locks.get(page)
         return dict(lock.holders) if lock else {}
+
+    def holder_modes(self, page: Page) -> Collection[LockMode]:
+        """The modes of a page lock's current holders, in grant order:
+        a live view, not a copy, so read it before the table changes."""
+        lock = self._locks.get(page)
+        return lock.holders.values() if lock else ()
 
     def held_pages(self, txn: Txn) -> Set[Page]:
         """Pages on which ``txn`` currently holds a lock (copy)."""

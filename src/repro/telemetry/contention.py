@@ -157,23 +157,25 @@ class ContentionMonitor:
         edges = 0
         max_chain = 0
         chain_sum = 0
+        # The pages with a queue are the pages the waiters wait on: a
+        # handful, where the locked pages run to hundreds.
+        queued_pages = set()
         for txn in waiters:
             edges += len(lock_table.blocking_set(txn))
             depth = lock_table.wait_chain_depth(txn)
             chain_sum += depth
             if depth > max_chain:
                 max_chain = depth
+            queued_pages.add(lock_table.waiting_on(txn))
         max_queue = 0
         queue_sum = 0
-        contested = 0
-        locked_pages = lock_table.locked_pages()
-        for page in locked_pages:
+        for page in queued_pages:
             depth = lock_table.num_waiters(page)
-            if depth > 0:
-                contested += 1
-                queue_sum += depth
-                if depth > max_queue:
-                    max_queue = depth
+            queue_sum += depth
+            if depth > max_queue:
+                max_queue = depth
+        contested = len(queued_pages)
+        locked_pages = lock_table.locked_pages()
         self.samples.append(ContentionSample(
             time=sample.time,
             waiters=len(waiters),

@@ -180,16 +180,19 @@ class InvariantChecker:
         self.system.check_invariants()
 
     def _check_conflict_freedom(self) -> None:
+        # Reads the holders' modes in place, not the table's num_s/num_x
+        # counters, which a corruption could leave consistent with a
+        # wrong grant.
         table = self.system.lock_table
         X = LockMode.X
         for page in table.locked_pages():
-            holders = table.holders(page)
-            if len(holders) > 1 and X in holders.values():
+            modes = table.holder_modes(page)
+            if len(modes) > 1 and X in modes:
                 # Evidence in the canonical dump's form: page and
                 # transactions as labels, modes by name.
-                page = str(page)
                 holders = {str(_dump_label(t)): m.name
-                           for t, m in holders.items()}
+                           for t, m in table.holders(page).items()}
+                page = str(page)
                 self._violate(
                     "lock_conflict_freedom",
                     f"page {page} has {len(holders)} holders but one "

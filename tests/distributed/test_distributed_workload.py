@@ -9,6 +9,7 @@ from repro.distributed.partition import RangePartition
 from repro.distributed.workload import DistributedWorkload
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams
+from repro.workload.base import sample_readset_size
 
 
 def _gen(seed=1, **overrides):
@@ -103,3 +104,104 @@ def test_oversized_home_partition_request_falls_back():
         txn = gen.make_transaction(i, 0, 0.0)
         assert len(set(txn.readset)) == txn.num_reads
         assert all(0 <= p < 40 for p in txn.readset)
+
+
+# -- draw streams ------------------------------------------------------------
+#
+# The generator draws with inline getrandbits loops.  The reference below
+# is the same model written with the random.Random calls those loops
+# replace (randint through sample_readset_size, randrange, shuffle, and a
+# per-page bernoulli); both must consume the same bits.
+
+_STREAMS = ("readset_size", "dist_page_choice", "write_choice")
+
+
+def _reference_pages(streams, params, partition, home, count):
+    rng = streams.stream("dist_page_choice")
+    lo, hi = partition.range_of(home)
+    home_pages = hi - lo
+    remote_pages = params.db_size - home_pages
+    chosen = set()
+    guard = 0
+    while len(chosen) < count:
+        guard += 1
+        if guard > 50 * count + 200:
+            remaining = [p for p in range(params.db_size)
+                         if p not in chosen]
+            chosen.update(rng.sample(remaining, count - len(chosen)))
+            break
+        local = rng.random() < params.locality
+        if local or remote_pages == 0:
+            page = lo + rng.randrange(home_pages)
+        else:
+            offset = rng.randrange(remote_pages)
+            page = offset if offset < lo else offset + home_pages
+        chosen.add(page)
+    ordered = list(chosen)
+    rng.shuffle(ordered)
+    return ordered
+
+
+def _reference_transaction(streams, params, partition, terminal_id):
+    home = terminal_id % partition.num_sites
+    size = sample_readset_size(streams, params.tran_size)
+    readset = _reference_pages(streams, params, partition, home, size)
+    writeset = {page for page in readset
+                if streams.bernoulli("write_choice", params.write_prob)}
+    return readset, writeset
+
+
+def _states(streams):
+    return [streams.stream(name).getstate() for name in _STREAMS]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9001])
+@pytest.mark.parametrize("locality", [0.0, 0.8, 1.0])
+@pytest.mark.parametrize("write_prob", [0.0, 0.25, 1.0])
+def test_inline_draws_equal_the_random_calls(seed, locality, write_prob):
+    gen, params, part = _gen(seed=seed, num_sites=4, locality=locality,
+                             write_prob=write_prob)
+    ref = RandomStreams(seed)
+    for i in range(150):
+        txn = gen.make_transaction(i, i, 0.0)
+        readset, writeset = _reference_transaction(ref, params, part, i)
+        assert txn.readset == readset
+        assert txn.writeset == writeset
+    assert _states(gen.streams) == _states(ref)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9001])
+def test_inline_shuffle_equals_random_shuffle_across_sizes(seed):
+    """Sizes 1..70 cross several powers of two, where the shuffle's bit
+    count changes, and pass the home partition of 62 pages, where
+    locality 1.0 falls back to the uniform fill."""
+    gen, params, part = _gen(seed=seed, num_sites=16, db_size=1000,
+                             locality=1.0)
+    ref = RandomStreams(seed)
+    for count in range(1, 71):
+        home = count % 16
+        assert gen._draw_pages(home, count) == _reference_pages(
+            ref, params, part, home, count)
+    assert _states(gen.streams) == _states(ref)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9001])
+@pytest.mark.parametrize("locality", [0.0, 0.8, 1.0])
+def test_uniform_fill_fallback_draws_equal_the_random_calls(seed,
+                                                            locality):
+    """A 2-page home partition with readsets of 2 to 6 pages: at
+    locality 1.0 every readset over 2 pages takes the fallback."""
+    gen, params, part = _gen(seed=seed, num_sites=4, db_size=8,
+                             tran_size=4, locality=locality)
+    ref = RandomStreams(seed)
+    fell_back = 0
+    for i in range(60):
+        txn = gen.make_transaction(i, i, 0.0)
+        readset, writeset = _reference_transaction(ref, params, part, i)
+        assert txn.readset == readset
+        assert txn.writeset == writeset
+        lo, hi = part.range_of(i % 4)
+        fell_back += any(not lo <= p < hi for p in readset)
+    assert _states(gen.streams) == _states(ref)
+    if locality == 1.0:
+        assert fell_back > 0

@@ -10,6 +10,24 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
 
+class _LiveSites(set):
+    """The set of up sites, read by the network as ``site_up[site]``."""
+
+    def __getitem__(self, site):
+        return site in self
+
+
+class _HeardRow:
+    """A ``last_heard`` row that logs each stamp as ``(dst, src)``."""
+
+    def __init__(self, log, dst):
+        self._log = log
+        self._dst = dst
+
+    def __setitem__(self, src, now):
+        self._log.append((self._dst, src))
+
+
 class _Harness:
     """A network plus the scaffolding its callbacks need."""
 
@@ -17,13 +35,13 @@ class _Harness:
         self.sim = Simulator()
         self.streams = RandomStreams(seed)
         self.params = DistributedParameters(num_sites=4, **overrides)
-        self.up = set(range(4)) if up is None else set(up)
+        self.up = _LiveSites(range(4) if up is None else up)
         self.deliveries = []
         self.payloads = []
         self.net = Network(
             self.sim, self.streams, self.params, active,
-            site_up=lambda s: s in self.up,
-            on_deliver=lambda dst, src: self.deliveries.append((dst, src)))
+            site_up=self.up,
+            last_heard=[_HeardRow(self.deliveries, dst) for dst in range(4)])
 
     def receive(self, *args):
         self.payloads.append((self.sim.now, args))
@@ -160,3 +178,34 @@ def test_sender_crash_silences_its_calls():
     h.sim.run()
     assert call.settled
     assert failures == []           # the retransmitter died with it
+
+
+def test_liveness_is_read_live_from_the_sequence_given():
+    """The network keeps the ``site_up`` list and the ``last_heard``
+    matrix it was built with: a site taken down afterwards drops new
+    sends to and from it and messages already in flight to it, and a
+    delivery stamps the row in place at the time of delivery."""
+    sim = Simulator()
+    params = DistributedParameters(num_sites=4, msg_delay=0.05)
+    site_up = [True] * 4
+    last_heard = [[0.0] * 4 for _ in range(4)]
+    net = Network(sim, RandomStreams(3), params, True, site_up, last_heard)
+    got = []
+    net.send(0, 1, got.append, "in flight")
+    site_up[1] = False              # crashes after the send
+    net.send(0, 1, got.append, "to down")
+    net.send(1, 2, got.append, "from down")
+    net.send(0, 3, got.append, "live")
+    last_heard[3] = [-1.0] * 4      # a row replaced after construction
+    sim.run()
+    assert got == ["live"]
+    assert net.stats() == {"sent": 4, "delivered": 1, "lost": 0,
+                           "dropped_partition": 0, "dropped_down": 3,
+                           "retransmissions": 0, "expirations": 0}
+    assert last_heard[3] == [0.05, -1.0, -1.0, -1.0]
+    assert last_heard[1] == [0.0] * 4
+    site_up[1] = True               # recovers: traffic flows again
+    net.send(0, 1, got.append, "after recovery")
+    sim.run()
+    assert got == ["live", "after recovery"]
+    assert last_heard[1][0] == pytest.approx(0.10)

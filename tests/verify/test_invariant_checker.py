@@ -201,6 +201,53 @@ def test_conflicting_holders_reported_with_dump_evidence(tiny_params):
     assert "page 7 has 2 holders but one holds X" in str(violation)
 
 
+@pytest.mark.parametrize("first, second", [("S", "X"), ("X", "S")])
+def test_conflicting_holders_with_consistent_counters_reported(
+        tiny_params, first, second):
+    # The holders' counters agree with their modes, so only a walk of
+    # the modes themselves sees the conflict, whichever was granted
+    # first.
+    from repro.lockmgr.lock_table import _Lock
+    from repro.lockmgr.modes import LockMode
+    system, checker = _verified_system(tiny_params, "sampled")
+    a, b = (system.workload.make_transaction(900 + i, 0, 0.0)
+            for i in range(2))
+    lock = _Lock()
+    lock.holders[a] = LockMode[first]
+    lock.holders[b] = LockMode[second]
+    lock.num_s = lock.num_x = 1
+    system.lock_table._locks[7] = lock
+    with pytest.raises(InvariantViolation) as exc_info:
+        checker._check_conflict_freedom()
+    violation = exc_info.value
+    assert violation.invariant == "lock_conflict_freedom"
+    assert violation.evidence["holders"] == {"900": first, "901": second}
+
+
+def test_conflicting_holders_reported_on_a_cluster():
+    # The distributed union view answers for the page's owning site.
+    from repro.distributed.config import DistributedParameters
+    from repro.distributed.controllers import make_no_control_sites
+    from repro.distributed.system import DistributedSystem
+    from repro.lockmgr.lock_table import _Lock
+    from repro.lockmgr.modes import LockMode
+    params = DistributedParameters(num_sites=2, num_terms=4, db_size=40)
+    system = DistributedSystem(params, make_no_control_sites(2))
+    checker = InvariantChecker(VerifyConfig(cadence="sampled"))
+    checker.attach(system)
+    a, b = (system.workload.make_transaction(900 + i, 0, 0.0)
+            for i in range(2))
+    lock = _Lock()
+    lock.holders[a] = LockMode.S
+    lock.holders[b] = LockMode.X
+    lock.num_s = lock.num_x = 1
+    system.sites[1].lock_table._locks[30] = lock
+    with pytest.raises(InvariantViolation) as exc_info:
+        checker._check_conflict_freedom()
+    assert exc_info.value.evidence == {"page": "30",
+                                       "holders": {"900": "S", "901": "X"}}
+
+
 def test_corrupted_grant_path_caught_by_invariant_checker(
         tiny_params, monkeypatch):
     _corrupt_grant_path(monkeypatch)
