@@ -20,7 +20,9 @@ __all__ = ["LRUBuffer", "NullBuffer"]
 
 
 class NullBuffer:
-    """Bufferless I/O model: every read misses (the paper's default)."""
+    """Bufferless I/O model: every read misses (the paper's default).
+    The DBMS system skips both access calls on a buffer whose
+    ``capacity`` is None."""
 
     capacity: Optional[int] = None
 

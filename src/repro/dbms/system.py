@@ -65,6 +65,7 @@ from repro.lockmgr.prevention import (
     wound_wait_victims,
 )
 from repro.lockmgr.modes import LockMode
+from repro.lockmgr.protocols import LockProtocol
 from repro.lockmgr.wait_policy import UnboundedWaitPolicy, WaitPolicy
 from repro.metrics.collector import AbortReason, Collector
 from repro.metrics.trace import TraceEventType, Tracer
@@ -87,6 +88,7 @@ SiteWork = Callable[[Transaction, int, Site], None]   # a step at a site
 # every lock request reads these.
 _S, _X = LockMode.S, LockMode.X
 _GRANTED = RequestOutcome.GRANTED
+_DEGREE_TWO = LockProtocol.DEGREE_TWO    # releases_read_locks_early()
 
 
 def equip_site(site: Site, sim: Simulator,
@@ -277,6 +279,9 @@ class DBMSSystem:
         *which* queued transaction enters is FIFO unless an
         ``admission_order`` policy is installed.
         """
+        # Most calls find the queue empty: no frames for those.
+        if not self.ready_queue._queue:
+            return False
         return self._admit_from(self.ready_queue)
 
     def _admit_from(self, queue: ReadyQueue) -> bool:
@@ -333,7 +338,7 @@ class DBMSSystem:
         # ``finished_reading``/``current_page``, inlined: this runs per
         # page on the hottest state-machine path.
         readset = txn.readset
-        if txn.step_index >= len(readset):
+        if txn.step_index >= txn.num_reads:
             txn.pending_updates = [p for p in readset
                                    if p in txn.writeset]
             if txn.pending_updates:
@@ -493,7 +498,9 @@ class DBMSSystem:
 
     def _start_page_read(self, txn: Transaction, page: int,
                          site: Site) -> None:
-        if site.buffer.access_read(page):
+        # A buffer with no capacity (NullBuffer) never hits.
+        buffer = site.buffer
+        if buffer.capacity is not None and buffer.access_read(page):
             if self.spans is not None:
                 self.spans.begin_cpu(txn)
             site.cpu.request(self.params.page_cpu,
@@ -517,7 +524,8 @@ class DBMSSystem:
         if self.spans is not None:
             self.spans.end_service(txn)
         txn.attempt_reads += 1
-        self.collector.on_page_read()
+        # Collector.on_page_read, inlined: one per page read.
+        self.collector.raw_pages += 1
         if txn.killed:
             self._abort_at_checkpoint(txn)
             return
@@ -529,7 +537,7 @@ class DBMSSystem:
             else:
                 self._start_write_cpu(txn, site)
             return
-        if locking and txn.lock_protocol.releases_read_locks_early():
+        if locking and txn.lock_protocol is _DEGREE_TWO:
             self._process_grants(site.lock_table.release(txn, page), site)
         txn.step_index += 1
         if site is self:
@@ -574,7 +582,9 @@ class DBMSSystem:
 
     def _deferred_write(self, txn: Transaction, page: int,
                         site: Site) -> None:
-        site.buffer.access_write(page)
+        buffer = site.buffer
+        if buffer.capacity is not None:
+            buffer.access_write(page)
         if self.spans is not None:
             self.spans.begin_disk(txn)
         site.disks.access_random(self._disk_rng, self.params.page_io,

@@ -40,7 +40,7 @@ class Transaction:
 
     __slots__ = (
         "txn_id", "terminal_id", "class_name", "timestamp",
-        "readset", "writeset", "lock_protocol",
+        "readset", "writeset", "num_reads", "lock_protocol",
         "estimated_locks", "maturity_threshold",
         "phase", "step_index", "locks_completed", "is_mature", "is_blocked",
         "pending_updates", "killed", "doomed",
@@ -57,6 +57,8 @@ class Transaction:
         self.timestamp = timestamp          # immutable across restarts
         self.readset: List[int] = list(readset)
         self.writeset: Set[int] = set(writeset)
+        # Pages read; stored, as the readset never changes.
+        self.num_reads = len(self.readset)
         self.lock_protocol = lock_protocol
         # Filled in by the system at admission time (depends on the
         # configured estimate error and the controller's maturity rule).
@@ -80,11 +82,6 @@ class Transaction:
         self.attempt_writes = 0             # deferred writes this attempt
 
     # ------------------------------------------------------------------
-
-    @property
-    def num_reads(self) -> int:
-        """Pages this transaction reads."""
-        return len(self.readset)
 
     @property
     def num_writes(self) -> int:

@@ -217,9 +217,17 @@ class _GlobalLockView:
     # generator that resumes once per site.
 
     def is_blocking_others(self, txn: Transaction) -> bool:
-        for site in self._sites:
-            if site.lock_table.is_blocking_others(txn):
-                return True
+        # A transaction holds locks only on its readset's pages: ask
+        # their owners, each once (one bit per site asked).
+        site_of = self._site_of
+        asked = 0
+        for page in txn.readset:
+            site = site_of[page]
+            bit = 1 << site.site_id
+            if not asked & bit:
+                if site.lock_table.is_blocking_others(txn):
+                    return True
+                asked |= bit
         return False
 
     def num_held(self, txn: Transaction) -> int:
@@ -370,6 +378,9 @@ class _SiteView:
         self.streams = system.streams
 
     def try_admit_one(self) -> bool:
+        # An empty queue answers first, as in DBMSSystem.try_admit_one.
+        if not self.ready_queue._queue:
+            return False
         system = self._system
         if system.failure_mode and not system._admission_open(
                 self.site_id):

@@ -77,9 +77,14 @@ class _Lock:
     test (see :meth:`LockTable.request`) instead of a scan.  Invariant,
     enforced by :meth:`LockTable.check_invariants`: ``num_s + num_x ==
     len(holders)`` and each counter equals the recount of its mode.
+
+    An entry that empties leaves the page index for the table's free
+    list (linked through ``next_free``), from which a request on a page
+    with no entry takes it again.
     """
 
-    __slots__ = ("holders", "upgraders", "queue", "num_s", "num_x")
+    __slots__ = ("holders", "upgraders", "queue", "num_s", "num_x",
+                 "next_free")
 
     def __init__(self) -> None:
         self.holders: Dict[Txn, LockMode] = {}
@@ -87,6 +92,7 @@ class _Lock:
         self.queue: Deque[Tuple[Txn, LockMode]] = deque()
         self.num_s = 0
         self.num_x = 0
+        self.next_free: Optional[_Lock] = None
 
     def empty(self) -> bool:
         return not self.holders and not self.upgraders and not self.queue
@@ -108,6 +114,8 @@ class LockTable:
 
     def __init__(self) -> None:
         self._locks: Dict[Page, _Lock] = {}
+        # Head of the free list of emptied entries (see _Lock).
+        self._free: Optional[_Lock] = None
         # Insertion-ordered page index per transaction (dict keys),
         # so release_all order is deterministic run to run.
         self._held: Dict[Txn, Dict[Page, None]] = {}
@@ -372,38 +380,44 @@ class LockTable:
         self.requests += 1
         lock = self._locks.get(page)
         if lock is None:
-            lock = self._locks[page] = _Lock()
-
-        held_mode = lock.holders.get(txn)
-        if held_mode is not None:
-            if mode is _S or held_mode is _X:
-                # Re-request in an already-covered mode: no-op grant.
-                return _GRANTED
-            # S held, X requested: upgrade path.
-            return self._request_upgrade(txn, page, lock)
-
-        # Fresh request: FCFS — grant only if nothing is queued ahead and
-        # the mode is compatible with every current holder.  With only
-        # S/X modes that compatibility collapses to a counter test: S
-        # coexists with anything but an X holder, X needs the page free.
-        if (not lock.upgraders and not lock.queue
-                and (lock.num_x == 0 if mode is _S
-                     else not lock.holders)):
-            # _grant(), inlined: most requests take this branch.
-            lock.holders[txn] = mode
-            if mode is _S:
-                lock.num_s += 1
+            # No entry: nobody holds or waits for the page, so the
+            # request is granted, on an entry from the free list.
+            lock = self._free
+            if lock is None:
+                lock = _Lock()
             else:
-                lock.num_x += 1
-            held = self._held.get(txn)
-            if held is None:
-                held = self._held[txn] = {}
-            held[page] = None
-            return _GRANTED
-        lock.queue.append((txn, mode))
-        self._waits[txn] = _WaitRecord(page, mode, is_upgrade=False)
-        self.blocks += 1
-        return _BLOCKED
+                self._free = lock.next_free
+            self._locks[page] = lock
+        else:
+            held_mode = lock.holders.get(txn)
+            if held_mode is not None:
+                if mode is _S or held_mode is _X:
+                    # Re-request in an already-covered mode: no-op grant.
+                    return _GRANTED
+                # S held, X requested: upgrade path.
+                return self._request_upgrade(txn, page, lock)
+            # Fresh request: FCFS — grant only if nothing is queued ahead
+            # and the mode is compatible with every current holder.  With
+            # only S/X modes that compatibility collapses to a counter
+            # test: S coexists with anything but an X holder, X needs the
+            # page free.
+            if (lock.upgraders or lock.queue
+                    or (lock.num_x if mode is _S else lock.holders)):
+                lock.queue.append((txn, mode))
+                self._waits[txn] = _WaitRecord(page, mode, is_upgrade=False)
+                self.blocks += 1
+                return _BLOCKED
+        # _grant(), inlined: most requests take this branch.
+        lock.holders[txn] = mode
+        if mode is _S:
+            lock.num_s += 1
+        else:
+            lock.num_x += 1
+        held = self._held.get(txn)
+        if held is None:
+            held = self._held[txn] = {}
+        held[page] = None
+        return _GRANTED
 
     def _request_upgrade(self, txn: Txn, page: Page,
                          lock: _Lock) -> RequestOutcome:
@@ -465,7 +479,7 @@ class LockTable:
         # _drop_holder, _promote_waiters and _gc per page, inlined: this
         # runs at every commit and abort.  Promotion runs only where
         # someone waits; where nobody does, a page with no holder left
-        # has an empty entry.
+        # has an empty entry, which goes to the free list.
         for page in held:
             lock = locks[page]
             if lock.holders.pop(txn) is _S:
@@ -476,6 +490,8 @@ class LockTable:
                 grants += self._promote_waiters(page, lock)
             elif not lock.holders:
                 del locks[page]
+                lock.next_free = self._free
+                self._free = lock
         return grants
 
     def cancel_wait(self, txn: Txn) -> List[Grant]:
@@ -541,6 +557,8 @@ class LockTable:
     def _gc(self, page: Page, lock: _Lock) -> None:
         if lock.empty():
             del self._locks[page]
+            lock.next_free = self._free
+            self._free = lock
 
     # ------------------------------------------------------------------
     # Invariant checking (used heavily by the test suite)

@@ -107,7 +107,8 @@ class Collector:
     # ------------------------------------------------------------------
 
     def on_page_read(self) -> None:
-        """A page read completed (any transaction)."""
+        """A page read completed (any transaction).  The DBMS system's
+        per-page path bumps ``raw_pages`` itself, without this frame."""
         self.raw_pages += 1
 
     def on_page_written(self) -> None:

@@ -22,10 +22,14 @@ event, more than the small-list allocation it saves.
 
 :class:`Event` is now purely a *cancellation handle*: :meth:`Simulator.
 schedule` returns one, :meth:`Simulator.post` (the hot-path variant used
-by the resource pools and the DBMS state machine) skips allocating one
-entirely.  Cancelling clears the slot's callback in place (lazy
-deletion), so cancelled slots pin no model objects while they await
-removal.
+by the DBMS state machine) skips allocating one entirely.  Cancelling
+clears the slot's callback in place (lazy deletion), so cancelled slots
+pin no model objects while they await removal.
+
+The CPU pool and the disk array push their completion slots onto
+``_heap`` themselves, numbered from the shared ``_seq``, and read
+``_heap`` at each push (``_compact`` and ``clear`` replace it): a change
+to the slot layout must change them too.
 
 Calendar hygiene: the kernel maintains a live-event counter (making
 :meth:`Simulator.pending` O(1)) and re-heapifies — dropping every

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Tuple
 
 from repro.errors import ConfigurationError
@@ -88,8 +89,11 @@ class CpuPool:
         if self._free > 0:
             self._free -= 1
             self.busy_time += service_time
-            # post(): completions are never cancelled, so no handle.
-            self._sim.post(service_time, self._complete, callback, args)
+            # Simulator.post, spelled out (see repro.sim.engine).
+            sim = self._sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, [sim.now + service_time, seq,
+                                 self._complete, (callback, args), None])
         else:
             # Priority is an IntEnum, so it indexes the queue pair
             # directly.
@@ -114,6 +118,9 @@ class CpuPool:
             return
         self._free -= 1
         self.busy_time += service_time
-        self._sim.post(service_time, self._complete,
-                       queued_callback, queued_args)
+        # Simulator.post, spelled out as in request().
+        sim = self._sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, [sim.now + service_time, seq, self._complete,
+                             (queued_callback, queued_args), None])
         callback(*args)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, List, Tuple
 
 from repro.errors import ConfigurationError
@@ -135,8 +136,12 @@ class DiskArray:
         else:
             disk.busy = True
             disk.busy_time += service_time
-            self._sim.post(service_time, self._complete,
-                           disk, callback, args)
+            # Simulator.post, spelled out (see repro.sim.engine).
+            sim = self._sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, [sim.now + service_time, seq,
+                                 self._complete, (disk, callback, args),
+                                 None])
 
     def _complete(self, disk: _Disk,
                   callback: Callable[..., Any], args: tuple) -> None:
@@ -149,8 +154,13 @@ class DiskArray:
             service_time, queued_callback, queued_args = (
                 disk.queue.popleft())
             disk.busy_time += service_time
-            self._sim.post(service_time, self._complete,
-                           disk, queued_callback, queued_args)
+            # Simulator.post, spelled out as in access_random().
+            sim = self._sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, [sim.now + service_time, seq,
+                                 self._complete,
+                                 (disk, queued_callback, queued_args),
+                                 None])
         else:
             disk.busy = False
         callback(*args)

@@ -9,6 +9,8 @@ Section 3.
 
 from __future__ import annotations
 
+import random
+from math import ceil as _ceil, log as _log
 from typing import List, Set, Tuple
 
 from repro.dbms.transaction import Transaction
@@ -16,7 +18,8 @@ from repro.errors import WorkloadError
 from repro.lockmgr.protocols import LockProtocol
 from repro.sim.rng import RandomStreams
 
-__all__ = ["WorkloadGenerator", "sample_readset_size", "sample_page_sets"]
+__all__ = ["WorkloadGenerator", "sample_readset_size", "sample_page_sets",
+           "sample_pages"]
 
 
 def sample_readset_size(streams: RandomStreams, mean_size: int) -> int:
@@ -27,6 +30,33 @@ def sample_readset_size(streams: RandomStreams, mean_size: int) -> int:
     low = max(1, mean_size - mean_size // 2)
     high = mean_size + mean_size // 2
     return streams.uniform_int("readset_size", low, high)
+
+
+def sample_pages(rng: random.Random, db_size: int,
+                 size: int) -> List[int]:
+    """``rng.sample(range(db_size), size)``, drawing the same bits.
+
+    Sample's set branch, spelled out: ``_randbelow(db_size)`` (a
+    rejection loop over ``getrandbits(db_size.bit_length())``) until
+    the page is not yet picked.  Its pool branch is left to it.
+    """
+    # Sample takes the pool branch when db_size <= setsize, and
+    # setsize < 21 + 12 * size.
+    if db_size <= 21 + 12 * size:
+        setsize = 21
+        if size > 5:
+            setsize += 4 ** _ceil(_log(size * 3, 4))
+        if db_size <= setsize:
+            return rng.sample(range(db_size), size)
+    getrandbits = rng.getrandbits
+    bits = db_size.bit_length()
+    picked = {}
+    for _ in range(size):
+        page = getrandbits(bits)
+        while page >= db_size or page in picked:
+            page = getrandbits(bits)
+        picked[page] = None
+    return list(picked)
 
 
 def sample_page_sets(streams: RandomStreams, db_size: int,
@@ -71,14 +101,25 @@ class WorkloadGenerator:
                protocol: LockProtocol = LockProtocol.TWO_PHASE,
                class_name: str = "default") -> Transaction:
         """Shared construction path used by the concrete generators."""
-        size = self._size_rng.randint(
-            max(1, mean_size - mean_size // 2),
-            mean_size + mean_size // 2)
+        # randint(low, high) over mean ± mean/2, spelled out: it is
+        # Random._randbelow(width), a rejection loop over
+        # getrandbits(width.bit_length()), so the same bits are drawn.
+        low = mean_size - mean_size // 2
+        if low < 1:
+            raise WorkloadError(
+                f"mean readset size must be positive, got {mean_size}")
+        width = 2 * (mean_size // 2) + 1
+        bits = width.bit_length()
+        getrandbits = self._size_rng.getrandbits
+        size = getrandbits(bits)
+        while size >= width:
+            size = getrandbits(bits)
+        size += low
         if size > db_size:
             raise WorkloadError(
                 f"readset of {size} pages exceeds database "
                 f"of {db_size} pages")
-        readset = self._page_rng.sample(range(db_size), size)
+        readset = sample_pages(self._page_rng, db_size, size)
         if write_prob <= 0.0:
             writeset: Set[int] = set()
         elif write_prob >= 1.0:

@@ -30,9 +30,29 @@ _ops = st.lists(
 )
 
 
+def _live_pages(table, txns):
+    """Pages with a holder, an upgrader or a queued waiter, from the
+    per-transaction indexes rather than the page entries."""
+    pages = set()
+    for txn in txns:
+        pages |= table.held_pages(txn)
+        waited = table.waiting_on(txn)
+        if waited is not None:
+            pages.add(waited)
+    return pages
+
+
 @settings(max_examples=150, deadline=None)
 @given(_ops)
+@example([("request", 0, 0, True), ("release_all", 0, 0, False),
+          ("request", 1, 0, False), ("request", 2, 0, True),
+          ("release_all", 1, 0, False), ("release_all", 2, 0, False),
+          ("request", 3, 1, True), ("request", 0, 0, False)])
 def test_property_lock_table_invariants_hold(ops):
+    """After every operation the table is consistent and reports as
+    locked exactly the pages someone holds or waits for; a request on a
+    page nobody holds or waits for (possibly on an entry reused after a
+    full release) is granted as that page's only holder."""
     table = LockTable()
     txns = [T(i) for i in range(6)]
     for op, ti, page, is_x in ops:
@@ -41,12 +61,21 @@ def test_property_lock_table_invariants_hold(ops):
             if table.is_waiting(txn):
                 continue  # illegal while waiting; skip
             mode = LockMode.X if is_x else LockMode.S
-            table.request(txn, page, mode)
+            was_free = page not in table.locked_pages()
+            outcome = table.request(txn, page, mode)
+            if was_free:
+                assert outcome is RequestOutcome.GRANTED
+                assert table.holders(page) == {txn: mode}
+                lock = table._locks[page]
+                assert lock.num_s + lock.num_x == 1
         elif op == "release_all":
             table.release_all(txn)
         else:
             table.cancel_wait(txn)
         table.check_invariants()
+        locked = table.locked_pages()
+        assert len(locked) == len(set(locked)) == table.num_locked_pages()
+        assert set(locked) == _live_pages(table, txns)
 
 
 @settings(max_examples=150, deadline=None)

@@ -385,3 +385,68 @@ def test_simulation_errors_from_callbacks_pass_through_unwrapped():
         sim.run()
     assert str(excinfo.value) == "already typed"
     assert excinfo.value.__cause__ is None
+
+
+# ----------------------------------------------------------------------
+# Resource completions on the shared calendar
+# ----------------------------------------------------------------------
+
+def _resources(sim):
+    from repro.sim.resources.cpu import CpuPool
+    from repro.sim.resources.disk import DiskArray
+    cpu, disks = CpuPool(sim, 1), DiskArray(sim, 1)
+    return {
+        "cpu": lambda delay, callback, *args: cpu.request(
+            delay, callback, *args),
+        "disk": lambda delay, callback, *args: disks.access_random(
+            _FirstDisk(), delay, callback, *args),
+    }
+
+
+class _FirstDisk:
+    """A random stream whose every draw picks disk 0."""
+
+    def getrandbits(self, bits):
+        return 0
+
+
+@pytest.mark.parametrize("kind", ["cpu", "disk"])
+def test_resource_completions_share_sequence_numbers_with_post(kind):
+    """The CPU pool and the disk array push their completion slots onto
+    the calendar themselves: at one simulated time they fire in
+    scheduling order among posted and scheduled events, and
+    ``pending()`` counts them."""
+    sim = Simulator()
+    serve = _resources(sim)[kind]
+    fired = []
+    sim.post(1.0, fired.append, "posted before")
+    serve(1.0, fired.append, "completion")
+    sim.schedule(1.0, fired.append, "scheduled after")
+    sim.post(1.0, fired.append, "posted after")
+    assert sim.pending() == 4
+    assert sim.run() == 4
+    assert fired == ["posted before", "completion", "scheduled after",
+                     "posted after"]
+    assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("kind", ["cpu", "disk"])
+def test_resource_completions_land_on_a_replaced_heap(kind):
+    """Compaction and ``clear()`` replace the heap list; a completion
+    issued afterwards is pushed onto the new one."""
+    sim = Simulator()
+    serve = _resources(sim)[kind]
+    handles = [sim.schedule(5.0, print) for _ in range(20)]
+    for handle in handles:
+        handle.cancel()                 # compacts: a new heap list
+    fired = []
+    serve(2.0, fired.append, "after compaction")
+    sim.post(2.0, fired.append, "posted")
+    assert sim.pending() == 2
+    sim.run()
+    assert fired == ["after compaction", "posted"]
+    sim.clear()
+    serve(1.0, fired.append, "after clear")
+    assert sim.pending() == 1
+    sim.run()
+    assert fired[-1] == "after clear"

@@ -7,14 +7,18 @@ Usage, from the root of a checkout::
     python3 tools/callcount.py --workload all > callcount.txt
 
 Runs one warm-up repetition of a benchmark workload (the shapes
-defined in ``perfbench/workloads.py``: ``contended``, ``observed``,
-``distributed``), so that lazy imports and first-use caches are not
-counted, then a second one with cProfile switched on only inside
-``run_simulation`` / ``run_distributed_simulation``: the part the
+defined in ``perfbench/workloads.py``: ``contended``, ``sweep``,
+``observed``, ``distributed``), so that lazy imports and first-use
+caches are not counted, then a second one with cProfile switched on only
+inside ``run_simulation`` / ``run_distributed_simulation``: the part the
 benchmark's ``wall_s`` times, without workload setup or the export
-validation that runs after the timer stops.  It prints the total number
-of Python calls, the number of simulated events, calls per event, and a
-table of calls per event by calling module and by calling function.
+validation that runs after the timer stops.  ``sweep`` warms up on its
+first spec, then runs all 18 specs serially in this process through
+``RunSpec.execute`` (the benchmark fans them out over a pool and a
+result cache, whose work is not per simulated event).  It prints the
+total number of Python calls, the number of simulated events, calls per
+event, and a table of calls per event by calling module and by calling
+function.
 
 Call counts do not move with host load, so they tell a change in the
 work done per event apart from noise that a wall-clock pair cannot
@@ -35,7 +39,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("contended", "observed", "distributed")
+WORKLOADS = ("contended", "sweep", "observed", "distributed")
 TOP = 15                # calling functions listed per workload
 
 
@@ -61,7 +65,7 @@ def count(workload: str, seed: int):
     ``module:function``)."""
     import workloads
     from repro.distributed import runner as distributed_runner
-    from repro.experiments import runner
+    from repro.experiments import parallel, runner
     from repro.sim.engine import Simulator
 
     profile = cProfile.Profile()
@@ -82,24 +86,36 @@ def count(workload: str, seed: int):
                 profile.disable()
         return timed_part
 
+    # RunSpec.execute calls the name bound in the parallel module.
     patches = ((Simulator, "run", counted_run),
                (runner, "run_simulation",
                 profiled(runner.run_simulation)),
+               (parallel, "run_simulation",
+                profiled(parallel.run_simulation)),
                (distributed_runner, "run_distributed_simulation",
                 profiled(distributed_runner.run_distributed_simulation)))
     with tempfile.TemporaryDirectory() as work_dir:
         job = workloads.build(workload, seed, Path(work_dir))
-        job.rep()                       # warm-up, not counted
+        if workload == "sweep":
+            specs = job.specs
+            specs[0].execute()          # warm-up, not counted
+
+            def repetition():
+                for spec in specs:
+                    spec.execute()
+        else:
+            job.rep()                   # warm-up, not counted
+            repetition = job.rep
         originals = [(owner, name, getattr(owner, name))
                      for owner, name, _ in patches]
         for owner, name, patched in patches:
             setattr(owner, name, patched)
         try:
-            rep = job.rep()
+            rep = repetition()
         finally:
             for owner, name, original in originals:
                 setattr(owner, name, original)
-    if rep.failed:
+    if rep is not None and rep.failed:
         raise SystemExit(f"{workload}: run failed: {rep.problems}")
     stats = pstats.Stats(profile).stats
     by_caller: Counter = Counter()
