@@ -34,7 +34,7 @@ deeper through the window.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.distributed.config import DistributedParameters
 from repro.distributed.controllers import (
@@ -52,7 +52,6 @@ from repro.experiments.figures.base import FigureResult, FigureSpec
 from repro.experiments.parallel import current_context
 from repro.experiments.runner import measure
 from repro.experiments.scales import Scale
-from repro.telemetry.probes import ProbeScheduler
 
 __all__ = ["FIGURE", "run", "fault_plan_for"]
 
@@ -98,8 +97,8 @@ def _throughput_series(scale: Scale,
 
     Honors the ambient execution context's ``verify`` and ``telemetry``
     settings the way the spec executor does for batch figures — this
-    figure drives the system directly because it needs the probe
-    stream, which the batch-means result type does not carry.
+    figure drives the system directly because it needs a per-interval
+    page series, which the batch-means result type does not carry.
     """
     ctx = current_context()
     system = DistributedSystem(params=params, controllers=controllers,
@@ -110,10 +109,20 @@ def _throughput_series(scale: Scale,
     if ctx.telemetry is not None:
         session = ctx.telemetry.session_for(run_id)
         session.install(system)
-    # The figure's own probe stream: fixed point count at any scale,
-    # independent of the telemetry session's probe interval.
-    probes = ProbeScheduler(system, interval=horizon / INTERVALS)
-    probes.start()
+    # The figure's own sampling: the cluster's cumulative pages every
+    # interval, a fixed point count at any scale, independent of the
+    # telemetry session's probe interval.  One pending event at a time,
+    # each firing scheduling its successor (as a ProbeScheduler does).
+    sim = system.sim
+    collector = system.collector
+    interval = horizon / INTERVALS
+    samples: List[Tuple[float, int]] = []
+
+    def sample_pages() -> None:
+        samples.append((sim.now, int(collector.raw_pages)))
+        sim.schedule(interval, sample_pages)
+
+    sim.schedule(interval, sample_pages)
     check_end = None
     if ctx.verify is not None:
         from repro.verify.invariants import attach_verifier
@@ -128,11 +137,10 @@ def _throughput_series(scale: Scale,
     times: List[float] = []
     pages_per_sec: List[float] = []
     prev_pages = 0
-    for sample in probes.samples:
-        times.append(sample.time)
-        pages_per_sec.append((sample.cum_pages - prev_pages)
-                             / probes.interval)
-        prev_pages = sample.cum_pages
+    for at, cum_pages in samples:
+        times.append(at)
+        pages_per_sec.append((cum_pages - prev_pages) / interval)
+        prev_pages = cum_pages
     return {
         "times": times,
         "series": pages_per_sec,

@@ -584,24 +584,29 @@ class LockTable:
                 message, invariant="lock_table_consistency")
 
         locks, held_index, waits = self._locks, self._held, self._waits
+        # The matrix, asked of compatible() once per pass rather than
+        # read from COMPATIBLE, so that a patched predicate reaches these
+        # checks: with_s[m] / with_x[m] say whether mode m may join an
+        # S / X holder.
+        with_s = (compatible(_S, _S), compatible(_S, _X))
+        with_x = (compatible(_X, _S), compatible(_X, _X))
+        s_and_x = with_s[_X] and with_x[_S]
         seen_waiting: Set[Txn] = set()
         for page, lock in locks.items():
             holders = lock.holders
             # With only S and X, which mode pairs the holders form
             # follows from a recount of the modes, so the pairwise test
-            # asks compatible() once per kind of pair present instead
-            # of once per pair: the set is compatible iff num_x == 0,
-            # or num_x == 1 and num_s == 0.
+            # looks at each kind of pair present instead of each pair:
+            # the set is compatible iff num_x == 0, or num_x == 1 and
+            # num_s == 0.
             num_s = 0
             for mode in holders.values():
                 if mode is _S:
                     num_s += 1
             num_x = len(holders) - num_s
-            if ((num_s > 1 and not compatible(_S, _S))
-                    or (num_x > 1 and not compatible(_X, _X))
-                    or (num_s and num_x
-                        and not (compatible(_S, _X)
-                                 and compatible(_X, _S)))):
+            if ((num_s > 1 and not with_s[_S])
+                    or (num_x > 1 and not with_x[_X])
+                    or (num_s and num_x and not s_and_x)):
                 violate(f"incompatible holders on page {page!r}")
             if lock.num_s != num_s or lock.num_x != num_x:
                 violate(
@@ -621,8 +626,8 @@ class LockTable:
                             f"name page {page!r}")
             if lock.queue and not lock.upgraders:
                 txn, mode = lock.queue[0]
-                if ((num_s == 0 or compatible(_S, mode))
-                        and (num_x == 0 or compatible(_X, mode))):
+                if ((num_s == 0 or with_s[mode])
+                        and (num_x == 0 or with_x[mode])):
                     violate(f"head waiter {txn!r} on page {page!r} "
                             f"is grantable")
             for txn, _mode in lock.queue:

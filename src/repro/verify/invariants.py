@@ -129,14 +129,17 @@ class InvariantChecker:
         """Install this checker on a system (idempotent per system)."""
         self.system = system
         system.invariants = self
-        if self.config.cadence in ("every", "sampled"):
+        cadence = self.config.cadence
+        if cadence in ("every", "sampled"):
+            # Events between catalog passes: "every" is a stride of 1.
+            self._stride = (1 if cadence == "every"
+                            else self.config.sample_events)
             system.sim.monitor = self
 
     def on_event(self, callback) -> None:
         """``sim.monitor`` hook: called after every executed event."""
         self.events_seen += 1
-        if (self.config.cadence == "every"
-                or self.events_seen % self.config.sample_events == 0):
+        if self.events_seen % self._stride == 0:
             name = getattr(callback, "__name__", repr(callback))
             self.check_all(context=f"after event {name}")
 
@@ -158,8 +161,9 @@ class InvariantChecker:
             self._check_waiters_have_blockers()
             if self.config.shadow_regions:
                 self._check_region_shadow()
-            self._check_ready_queue_accounting()
-            self._check_parked_accounting()
+            gauges = self.system.collector.counters_dict()
+            self._check_ready_queue_accounting(gauges)
+            self._check_parked_accounting(gauges)
             self._check_population_conservation()
             self._check_metrics_conservation()
             self._check_buffer_bounds()
@@ -232,7 +236,7 @@ class InvariantChecker:
                 n_active=tracker.n_active, n_state1=tracker.n_state1,
                 n_state3=tracker.n_state3, real=real.name, ref=ref.name)
 
-    def _check_ready_queue_accounting(self) -> None:
+    def _check_ready_queue_accounting(self, gauges: Dict[str, Any]) -> None:
         system = self.system
         tracker = system.tracker
         table = system.lock_table
@@ -252,7 +256,6 @@ class InvariantChecker:
                     "ready_queue_accounting",
                     f"ready-queued {txn!r} holds or waits for locks",
                     txn=txn.txn_id)
-        gauges = system.collector.counters_dict()
         if gauges["ready_queue"] != len(system.ready_queue):
             self._violate(
                 "ready_queue_accounting",
@@ -267,12 +270,11 @@ class InvariantChecker:
                 f"{tracker.n_active} transactions are active",
                 gauge=gauges["active"], actual=tracker.n_active)
 
-    def _check_parked_accounting(self) -> None:
+    def _check_parked_accounting(self, gauges: Dict[str, Any]) -> None:
         system = self.system
         # Phase/membership/lock checks on the cold set live in
         # DBMSSystem.check_invariants (run by _check_system_consistency);
         # here we pin the collector's gauge against the actual set.
-        gauges = system.collector.counters_dict()
         if gauges["parked"] != len(system.parked):
             self._violate(
                 "parked_accounting",

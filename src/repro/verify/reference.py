@@ -1,12 +1,20 @@
 """Naive reference implementations for differential testing.
 
-Each reference here trades every efficiency concern for obviousness: the
+Each reference here trades efficiency for obviousness: the
 :class:`ReferenceLockTable` keeps plain per-page lists and rescans them
 on every operation, and :func:`reference_classify_region` does exact rational
 arithmetic.  They exist to be *diffed against* the optimised
 implementations (:class:`repro.lockmgr.lock_table.LockTable`,
 :func:`repro.core.regions.classify_region`) — a divergence means one of
 the two sides is wrong, and the loser is almost always the clever one.
+
+The reference lock table's one concession to speed is an index by
+transaction (each transaction's wait, and the pages it holds), so that
+"what does this transaction wait for?" and "release everything it
+holds" do not scan every page of a large table.  The index only says
+where to look: every answer about a page still comes from that page's
+lists, and a stale index can raise a false alarm but never hide a
+divergence (see :class:`ReferenceLockTable`).
 
 The reference lock table implements the paper's locking semantics from
 the prose, not from the optimised code:
@@ -66,26 +74,47 @@ class ReferenceLockTable:
     """List-scan lock table: slow, simple, and trusted.
 
     Holds two maps of plain per-page lists — ``page -> [holds]`` and
-    ``page -> [waits in arrival order]`` — and answers every question by
-    rescanning the list of the page in question (or, for "what is this
-    transaction waiting for?", every wait list).  A page's key is
+    ``page -> [waits in arrival order]`` — and answers every question
+    about a page by rescanning that page's lists.  A page's key is
     dropped when its list empties, so the keys are exactly the pages
     with live state.  The public surface mirrors the subset of
     :class:`~repro.lockmgr.lock_table.LockTable` the DBMS uses:
     ``request`` / ``release`` / ``release_all`` / ``cancel_wait`` plus
     read-only views, and the same ``requests`` / ``blocks`` /
     ``upgrades_requested`` statistics.
+
+    Two per-transaction indexes, kept up to date by :meth:`_add` and
+    :meth:`_remove` (the only places the lists change), find a
+    transaction's entries without scanning every page: ``_wait_by_txn``
+    maps a waiting transaction to its one wait (the paper lets a
+    transaction wait for at most one lock), and ``_held_by_txn`` maps a
+    holder to the pages it holds, in grant order.  No transaction has
+    an empty entry.  The views ``held_pages``, ``waiters`` and
+    ``snapshot`` still rescan the lists and never read the indexes.
+
+    A wrong index cannot make the reference vouch for a wrong real
+    table.  The shadow compares the pages the *real* table says an
+    operation touched, and every :data:`~repro.verify.shadow.
+    FULL_COMPARE_STRIDE` operations every page and waiter, always
+    against the reference's lists.  A stale index can only make the
+    reference take or reject a request wrongly, or leave or drop the
+    wrong entries in its lists, so it disagrees with a correct real
+    table: a false :class:`~repro.errors.ShadowDivergence` (or, for an
+    indexed hold the lists lack, an error from :meth:`_remove`), never
+    a missed one.
     """
 
     def __init__(self) -> None:
         self._holds: Dict[Page, List[_Hold]] = {}
         self._waits: Dict[Page, List[_Wait]] = {}
+        self._wait_by_txn: Dict[Txn, _Wait] = {}
+        self._held_by_txn: Dict[Txn, Dict[Page, None]] = {}
         self.requests = 0
         self.blocks = 0
         self.upgrades_requested = 0
 
     # ------------------------------------------------------------------
-    # Scans (the only "data structures" this class has)
+    # Scans of the per-page lists, and the per-transaction indexes
     # ------------------------------------------------------------------
 
     def _holds_on(self, page: Page) -> List[_Hold]:
@@ -101,22 +130,27 @@ class ReferenceLockTable:
         return None
 
     def _wait_of(self, txn: Txn) -> Optional[_Wait]:
-        for waits in self._waits.values():
-            for w in waits:
-                if w.txn is txn:
-                    return w
-        return None
+        return self._wait_by_txn.get(txn)
 
-    @staticmethod
-    def _add(lists: Dict[Page, list], page: Page, entry) -> None:
+    def _add(self, lists: Dict[Page, list], page: Page, entry) -> None:
         lists.setdefault(page, []).append(entry)
+        if lists is self._waits:
+            self._wait_by_txn[entry.txn] = entry
+        else:
+            self._held_by_txn.setdefault(entry.txn, {})[page] = None
 
-    @staticmethod
-    def _remove(lists: Dict[Page, list], page: Page, entry) -> None:
+    def _remove(self, lists: Dict[Page, list], page: Page, entry) -> None:
         entries = lists[page]
         entries.remove(entry)
         if not entries:
             del lists[page]
+        if lists is self._waits:
+            del self._wait_by_txn[entry.txn]
+        else:
+            pages = self._held_by_txn[entry.txn]
+            del pages[page]
+            if not pages:
+                del self._held_by_txn[entry.txn]
 
     @staticmethod
     def _modes_compatible(held: LockMode, requested: LockMode) -> bool:
@@ -246,7 +280,7 @@ class ReferenceLockTable:
 
     def request(self, txn: Txn, page: Page,
                 mode: LockMode) -> RequestOutcome:
-        if self._wait_of(txn) is not None:
+        if txn in self._wait_by_txn:
             raise LockProtocolError(
                 f"transaction {txn!r} issued a lock request while "
                 f"already waiting")
@@ -285,16 +319,13 @@ class ReferenceLockTable:
 
     def release_all(self, txn: Txn) -> List[Grant]:
         grants = list(self.cancel_wait(txn))
-        for page, holds in list(self._holds.items()):
-            for h in holds:
-                if h.txn is txn:
-                    self._remove(self._holds, page, h)
-                    grants.extend(self._promote(page))
-                    break
+        for page in list(self._held_by_txn.get(txn, ())):
+            self._remove(self._holds, page, self._hold_of(txn, page))
+            grants.extend(self._promote(page))
         return grants
 
     def cancel_wait(self, txn: Txn) -> List[Grant]:
-        w = self._wait_of(txn)
+        w = self._wait_by_txn.get(txn)
         if w is None:
             return []
         self._remove(self._waits, w.page, w)

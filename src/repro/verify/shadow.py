@@ -162,6 +162,8 @@ class ShadowLockTable(LockTable):
 
     def _compare_state(self, operation: str,
                        touched: Iterable[Page]) -> None:
+        # ``request`` spells this out inline for its one page; keep the
+        # two in step.
         ref = self.reference
         locks = self._locks
         holds = ref._holds
@@ -169,23 +171,29 @@ class ShadowLockTable(LockTable):
         for page in touched:
             if not _same_page(locks.get(page), holds.get(page),
                               waits.get(page)):
-                self._diverge(
-                    operation,
-                    f"state diverged on page {page!r}",
-                    page=str(page),
-                    real_page=self.dump_page(page),
-                    reference_page=ref.snapshot_page(page))
+                self._page_diverged(operation, page)
         if (self.requests != ref.requests or self.blocks != ref.blocks
                 or self.upgrades_requested != ref.upgrades_requested):
             self._diverge(operation, "lock statistics diverged")
         self.ops_checked += 1
         if self.ops_checked >= self._full_compare_due:
-            self._full_compare_due = self.ops_checked + FULL_COMPARE_STRIDE
-            if not self._same_table():
-                self._diverge(
-                    operation,
-                    "lock-table state diverged from the reference "
-                    "implementation (periodic full comparison)")
+            self._full_compare(operation)
+
+    def _page_diverged(self, operation: str, page: Page) -> None:
+        self._diverge(
+            operation,
+            f"state diverged on page {page!r}",
+            page=str(page),
+            real_page=self.dump_page(page),
+            reference_page=self.reference.snapshot_page(page))
+
+    def _full_compare(self, operation: str) -> None:
+        self._full_compare_due = self.ops_checked + FULL_COMPARE_STRIDE
+        if not self._same_table():
+            self._diverge(
+                operation,
+                "lock-table state diverged from the reference "
+                "implementation (periodic full comparison)")
 
     def _same_table(self) -> bool:
         """The periodic full compare: every page either side knows,
@@ -217,27 +225,36 @@ class ShadowLockTable(LockTable):
         """Run the real mutation (``real_call(self, *args)``), then the
         reference one (``ref_call(*args)``), and require identical
         results — including identical protocol errors."""
-        real_exc = ref_exc = None
-        real = ref = None
         try:
             real = real_call(self, *args)
         except LockProtocolError as exc:
-            real_exc = exc
+            self._rejected(operation, exc, ref_call, *args)
         try:
             ref = ref_call(*args)
         except LockProtocolError as exc:
-            ref_exc = exc
-        if (real_exc is None) != (ref_exc is None):
-            self._diverge(
-                operation,
-                f"protocol-error divergence: real raised {real_exc!r}, "
-                f"reference raised {ref_exc!r}")
-        if real_exc is not None:
-            # Both sides rejected the operation the same way; state is
-            # untouched on both, so re-raise the real error unchanged.
-            self.ops_checked += 1
-            raise real_exc
+            self._protocol_diverged(operation, None, exc)
         return real, ref
+
+    def _rejected(self, operation: str, real_exc: LockProtocolError,
+                  ref_call, *args) -> None:
+        """The real mutation raised ``real_exc``: the reference must
+        reject the same call too.  Always raises."""
+        try:
+            ref_call(*args)
+        except LockProtocolError:
+            pass
+        else:
+            self._protocol_diverged(operation, real_exc, None)
+        # Both sides rejected the operation the same way; state is
+        # untouched on both, so re-raise the real error unchanged.
+        self.ops_checked += 1
+        raise real_exc
+
+    def _protocol_diverged(self, operation: str, real_exc, ref_exc) -> None:
+        self._diverge(
+            operation,
+            f"protocol-error divergence: real raised {real_exc!r}, "
+            f"reference raised {ref_exc!r}")
 
     # ------------------------------------------------------------------
     # Mirrored mutations
@@ -249,14 +266,36 @@ class ShadowLockTable(LockTable):
 
     def request(self, txn: Txn, page: Page,
                 mode: LockMode) -> RequestOutcome:
-        real, ref = self._mirror("request", LockTable.request,
-                                 self.reference.request, txn, page, mode)
+        # The lock manager's most frequent operation: ``_mirror`` and
+        # ``_compare_state`` spelled out for one page, with the same
+        # checks in the same order.
+        reference = self.reference
+        try:
+            real = LockTable.request(self, txn, page, mode)
+        except LockProtocolError as exc:
+            self._rejected("request", exc, reference.request,
+                           txn, page, mode)
+        try:
+            ref = reference.request(txn, page, mode)
+        except LockProtocolError as exc:
+            self._protocol_diverged("request", None, exc)
         if real is not ref:
             self._diverge(
                 "request",
                 f"outcome diverged for {txn!r} on page {page!r} "
                 f"({mode.name}): real={real.value} reference={ref.value}")
-        self._compare_state("request", (page,))
+        if not _same_page(self._locks.get(page),
+                          reference._holds.get(page),
+                          reference._waits.get(page)):
+            self._page_diverged("request", page)
+        if (self.requests != reference.requests
+                or self.blocks != reference.blocks
+                or self.upgrades_requested
+                != reference.upgrades_requested):
+            self._diverge("request", "lock statistics diverged")
+        self.ops_checked += 1
+        if self.ops_checked >= self._full_compare_due:
+            self._full_compare("request")
         return real
 
     def release(self, txn: Txn, page: Page) -> List[Grant]:

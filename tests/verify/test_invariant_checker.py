@@ -58,6 +58,46 @@ def test_commit_cadence_only_checks_at_commits(tiny_params):
     assert checker.checks_run == system.collector.commits
 
 
+@pytest.mark.parametrize("cadence, stride", [("every", 1),
+                                             ("sampled", 64)])
+def test_per_event_cadences_run_the_catalog_once_per_stride(
+        tiny_params, cadence, stride):
+    system, checker = _verified_system(tiny_params, cadence)
+    ran_at = []
+    check_all = checker.check_all
+
+    def recording_check_all(context=""):
+        ran_at.append(checker.events_seen)
+        check_all(context=context)
+
+    checker.check_all = recording_check_all
+    system.start()
+    system.sim.run(until=tiny_params.total_time)
+    assert checker.events_seen > stride
+    assert checker.checks_run == checker.events_seen // stride
+    assert ran_at == list(range(stride, checker.events_seen + 1, stride))
+
+
+def test_lock_table_self_check_reads_the_live_compatibility_predicate(
+        monkeypatch):
+    # check_invariants asks compatible() once per pass, when the pass
+    # runs: a predicate corrupted after import (S no longer compatible
+    # with S, so nothing is) still turns two readers into incompatible
+    # holders.
+    from repro.lockmgr.lock_table import LockTable
+    from repro.lockmgr.modes import LockMode
+    table = LockTable()
+    a, b = object(), object()
+    table.request(a, 1, LockMode.S)
+    table.request(b, 1, LockMode.S)
+    table.check_invariants()
+    monkeypatch.setattr(lock_table_module, "compatible",
+                        lambda held, requested: False)
+    with pytest.raises(InvariantViolation,
+                       match="incompatible holders on page 1"):
+        table.check_invariants()
+
+
 def test_end_to_end_verified_run_is_clean(tiny_params):
     results = run_simulation(tiny_params, HalfAndHalfController(),
                              verify=VerifyConfig(sample_events=64))

@@ -17,6 +17,7 @@ import repro.lockmgr.lock_table as lock_table_module
 from repro.errors import LockProtocolError, ShadowDivergence
 from repro.lockmgr.lock_table import Grant, RequestOutcome
 from repro.lockmgr.modes import LockMode
+from repro.verify.reference import _Wait
 from repro.verify.shadow import ShadowLockTable, canonical_grants
 
 S, X = LockMode.S, LockMode.X
@@ -279,6 +280,63 @@ def test_holder_insertion_order_does_not_matter():
 
 
 # ----------------------------------------------------------------------
+# The reference's per-transaction index
+# ----------------------------------------------------------------------
+
+def _assert_index_matches_lists(ref):
+    """The reference's per-transaction indexes equal a rescan of its
+    per-page lists, and hold no empty entries."""
+    waits = {}
+    for page, entries in ref._waits.items():
+        for wait in entries:
+            assert wait.page == page
+            assert wait.txn not in waits        # one wait per transaction
+            waits[wait.txn] = wait
+    held = {}
+    for page, holds in ref._holds.items():
+        for hold in holds:
+            held.setdefault(hold.txn, set()).add(page)
+    assert ref._wait_by_txn == waits
+    assert {txn: set(pages)
+            for txn, pages in ref._held_by_txn.items()} == held
+    assert all(ref._held_by_txn.values())
+
+
+def test_stale_wait_index_entry_diverges():
+    # The reference still indexes a wait that is in no list: it rejects
+    # the transaction's next request, which the real table takes.
+    table = ShadowLockTable()
+    t0, t1 = _Txn(0), _Txn(1)
+    table.request(t0, "p", X)
+    table.request(t1, "p", S)           # t1 waits
+    table.cancel_wait(t1)               # its index entry goes with it
+    table.request(t1, "q", S)           # so it may request again
+    _assert_index_matches_lists(table.reference)
+    table.reference._wait_by_txn[t1] = _Wait(t1, "p", S, False)
+    with pytest.raises(ShadowDivergence,
+                       match="protocol-error divergence") as exc_info:
+        table.request(t1, "r", S)
+    assert exc_info.value.operation == "request"
+
+
+def test_page_missing_from_held_index_diverges():
+    # The reference's index lost a page t0 holds: its release_all leaves
+    # that hold in place, and the page the real table released differs.
+    table = ShadowLockTable()
+    t0, t1 = _Txn(0), _Txn(1)
+    for page in ("p", "q", "r"):
+        table.request(t0, page, S)
+    table.release(t0, "r")              # leaves t0's index with it
+    table.request(t1, "q", S)
+    _assert_index_matches_lists(table.reference)
+    del table.reference._held_by_txn[t0]["q"]
+    with pytest.raises(ShadowDivergence) as exc_info:
+        table.release_all(t0)
+    assert exc_info.value.operation == "release_all"
+    assert exc_info.value.evidence["page"] == "q"
+
+
+# ----------------------------------------------------------------------
 # Randomized soak (satellite): thousands of shadowed operations
 # ----------------------------------------------------------------------
 
@@ -289,7 +347,8 @@ def _soak(seed: int, ops: int) -> ShadowLockTable:
     """Drive a ShadowLockTable through a random protocol-respecting
     workload: transactions never issue a request while waiting, and
     blocked transactions either keep waiting, give up their wait, or
-    abort (release everything)."""
+    abort (release everything).  After every step the reference's
+    per-transaction index must match its lists."""
     rng = random.Random(seed)
     table = ShadowLockTable()
     txns = [_Txn(i) for i in range(10)]
@@ -301,17 +360,19 @@ def _soak(seed: int, ops: int) -> ShadowLockTable:
                 table.cancel_wait(txn)
             elif roll < 0.45:
                 table.release_all(txn)      # abort while blocked
-            continue                        # else: stay waiting
-        roll = rng.random()
-        held = sorted(table.held_pages(txn), key=str)
-        if roll < 0.60:
-            mode = S if rng.random() < 0.7 else X
-            table.request(txn, rng.choice(PAGES), mode)
-        elif roll < 0.85 and held:
-            table.release(txn, rng.choice(held))
+            # else: stay waiting
         else:
-            table.release_all(txn)
-        assert table.reference.snapshot() == table.dump()
+            roll = rng.random()
+            held = sorted(table.held_pages(txn), key=str)
+            if roll < 0.60:
+                mode = S if rng.random() < 0.7 else X
+                table.request(txn, rng.choice(PAGES), mode)
+            elif roll < 0.85 and held:
+                table.release(txn, rng.choice(held))
+            else:
+                table.release_all(txn)
+            assert table.reference.snapshot() == table.dump()
+        _assert_index_matches_lists(table.reference)
     return table
 
 
