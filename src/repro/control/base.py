@@ -74,21 +74,18 @@ class LoadController:
             return
         # A log may be installed before attach() binds the system (e.g.
         # a controller configured by hand); counts are simply zero then.
-        tracker = self.system.tracker if self.system is not None else None
-        log.add(
-            time=(self.system.sim.now if self.system is not None else 0.0),
-            controller=self.name,
-            action=action,
-            region=(region.value if region is not None
-                    and hasattr(region, "value") else region),
-            n_active=(tracker.n_active if tracker is not None else 0),
-            n_state1=(tracker.n_state1 if tracker is not None else 0),
-            n_state3=(tracker.n_state3 if tracker is not None else 0),
-            txn_id=(txn.txn_id if txn is not None else None),
-            measure=measure,
-            threshold=threshold,
-            detail=detail,
-        )
+        system = self.system
+        tracker = system.tracker if system is not None else None
+        if region is not None and hasattr(region, "value"):
+            region = region.value
+        # The fields by position, in ControllerDecision's order.
+        log.add(system.sim.now if system is not None else 0.0,
+                self.name, action, region,
+                tracker.n_active if tracker is not None else 0,
+                tracker.n_state1 if tracker is not None else 0,
+                tracker.n_state3 if tracker is not None else 0,
+                txn.txn_id if txn is not None else None,
+                measure, threshold, detail)
 
     @property
     def base_name(self) -> str:

@@ -102,11 +102,13 @@ class Tracer:
         # A deque with maxlen evicts FIFO in O(1); a plain list's
         # pop(0) is O(n) per event once the bound is hit.
         self._events: Deque[TraceRow] = deque(maxlen=capacity)
-        # Per-transaction index for history_of: within one transaction
-        # events arrive in global order, so the globally oldest event
-        # is also the head of its own bucket and FIFO eviction stays
-        # O(1) per append.
-        self._by_txn: Dict[int, Deque[TraceRow]] = {}
+        # Per-transaction index for history_of and events(txn_id=...),
+        # built from _events by the first such query after a record
+        # (_index), so recording pays nothing for it.  _indexed is the
+        # number of events recorded (retained or evicted) when it was
+        # last built.
+        self._by_txn: Dict[int, List[TraceRow]] = {}
+        self._indexed = 0
         self.dropped = 0
 
     def __len__(self) -> int:
@@ -127,24 +129,25 @@ class Tracer:
                 and not self.event_filter(TraceEvent(*row))):
             return
         if self.capacity is not None and len(self._events) >= self.capacity:
-            # The deque evicts the oldest event itself; count it and
-            # drop it from its transaction's index bucket too.
+            # The deque evicts the oldest event itself; count it.
             self.dropped += 1
-            if self.capacity > 0:
-                evicted_txn = self._events[0][2]
-                bucket = self._by_txn[evicted_txn]
-                bucket.popleft()
-                if not bucket:
-                    del self._by_txn[evicted_txn]
-            else:
-                # maxlen=0: the deque discards every append, so the
-                # index must record nothing either.
-                return
         self._events.append(row)
-        bucket = self._by_txn.get(txn_id)
-        if bucket is None:
-            bucket = self._by_txn[txn_id] = deque()
-        bucket.append(row)
+
+    def _index(self) -> Dict[int, List[TraceRow]]:
+        """The per-transaction index of the retained events, rebuilt
+        if anything was recorded since it was last built."""
+        recorded = len(self._events) + self.dropped
+        if recorded != self._indexed:
+            by_txn: Dict[int, List[TraceRow]] = {}
+            for row in self._events:
+                bucket = by_txn.get(row[2])
+                if bucket is None:
+                    by_txn[row[2]] = [row]
+                else:
+                    bucket.append(row)
+            self._by_txn = by_txn
+            self._indexed = recorded
+        return self._by_txn
 
     def record_abort(self, time: float, txn_id: int, reason: str) -> None:
         """Record an abort, mapping the collector reason string.
@@ -166,7 +169,7 @@ class Tracer:
         # A txn_id query scans only that transaction's bucket (the
         # per-txn index), not the whole trace.
         source: Iterable[TraceRow] = (
-            self._by_txn.get(txn_id, ()) if txn_id is not None
+            self._index().get(txn_id, ()) if txn_id is not None
             else self._events)
         return [TraceEvent(*row) for row in source
                 if event_type is None or row[1] is event_type]
@@ -182,10 +185,11 @@ class Tracer:
         """The full recorded lifecycle of one transaction.
 
         O(k) in the transaction's own event count via the per-txn
-        index, not O(n) in the whole trace; events evicted by the
-        retention bound are gone from the history too.
+        index, not O(n) in the whole trace, once the index is built: the
+        first query after a record rebuilds it in O(n).  Events evicted
+        by the retention bound are gone from the history too.
         """
-        return list(starmap(TraceEvent, self._by_txn.get(txn_id, ())))
+        return list(starmap(TraceEvent, self._index().get(txn_id, ())))
 
     def format(self, limit: Optional[int] = None) -> str:
         """Render the (tail of the) trace as text."""

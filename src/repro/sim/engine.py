@@ -27,9 +27,11 @@ clears the slot's callback in place (lazy deletion), so cancelled slots
 pin no model objects while they await removal.
 
 The CPU pool and the disk array push their completion slots onto
-``_heap`` themselves, numbered from the shared ``_seq``, and read
-``_heap`` at each push (``_compact`` and ``clear`` replace it): a change
-to the slot layout must change them too.
+``_heap`` themselves, numbered from the shared ``_seq``: a change to the
+slot layout must change them too.  ``_heap`` is one list for the
+simulator's lifetime: ``_compact`` and ``clear`` empty or refill it in
+place, because :meth:`Simulator.run` holds a local reference to it while
+a callback may cancel events (and so compact) or clear the calendar.
 
 Calendar hygiene: the kernel maintains a live-event counter (making
 :meth:`Simulator.pending` O(1)) and re-heapifies — dropping every
@@ -236,9 +238,9 @@ class Simulator:
         amortized cost per cancellation is constant.  Fire order is
         unaffected: live slots keep their (time, seq) keys.
         """
-        live = [slot for slot in self._heap if slot[_CALLBACK] is not None]
-        heapq.heapify(live)
-        self._heap = live
+        heap = self._heap
+        heap[:] = [slot for slot in heap if slot[_CALLBACK] is not None]
+        heapq.heapify(heap)
         self._dead = 0
 
     def clear(self) -> None:
@@ -258,7 +260,7 @@ class Simulator:
                 handle._slot = None
                 handle._sim = None
             slot[_CALLBACK] = slot[_ARGS] = slot[_HANDLE] = None
-        self._heap = []
+        del self._heap[:]
         self._dead = 0
 
     def stop(self) -> None:

@@ -9,15 +9,20 @@ replayed and debugged offline instead of inferred from aggregates.
 
 Like the tracer, the log is optional and off by default; an attached
 controller pays one ``None`` check per hook when no log is installed.
+Also like the tracer, the log keeps each decision as a
+:data:`DecisionRow` tuple and builds :class:`ControllerDecision`
+objects only when it is read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from dataclasses import astuple, dataclass
+from itertools import starmap
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["DecisionAction", "ControllerDecision", "DecisionLog"]
+__all__ = ["DecisionAction", "ControllerDecision", "DecisionLog",
+           "DecisionRow"]
 
 
 class DecisionAction:
@@ -116,39 +121,64 @@ class ControllerDecision:
         return f"{base} ({self.detail})" if self.detail else base
 
 
+#: A recorded decision as the log keeps it: :class:`ControllerDecision`'s
+#: fields in declaration order, ``(time, controller, action, region,
+#: n_active, n_state1, n_state3, txn_id, measure, threshold, detail)``.
+#: ``ControllerDecision(*row)`` rebuilds the object.
+DecisionRow = Tuple[float, str, str, Optional[str], int, int, int,
+                    Optional[int], Optional[float], Optional[float], str]
+
+
 class DecisionLog:
     """Bounded in-memory log of controller decisions.
 
     Args:
         capacity: maximum decisions retained; older entries are dropped
             FIFO once the bound is hit (``None`` = unbounded).
+
+    Decisions are kept as :data:`DecisionRow` tuples; iteration and
+    the queries build the :class:`ControllerDecision` objects, and the
+    exporter encodes the rows directly (:meth:`rows`).
     """
 
     def __init__(self, capacity: Optional[int] = 100_000):
         self.capacity = capacity
-        self._decisions: Deque[ControllerDecision] = deque(maxlen=capacity)
+        self._rows: Deque[DecisionRow] = deque(maxlen=capacity)
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self._decisions)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[ControllerDecision]:
-        return iter(self._decisions)
+        return starmap(ControllerDecision, self._rows)
+
+    def rows(self) -> Iterator[DecisionRow]:
+        """The retained decisions as :data:`DecisionRow` tuples, in
+        order."""
+        return iter(self._rows)
 
     def record(self, decision: ControllerDecision) -> None:
         """Append one decision (subject to capacity)."""
-        if (self.capacity is not None
-                and len(self._decisions) >= self.capacity):
-            self.dropped += 1
-        self._decisions.append(decision)
+        self.add(*astuple(decision))
 
-    def add(self, **fields: Any) -> None:
-        """Record a :class:`ControllerDecision` built from ``fields``.
+    def add(self, time: float, controller: str, action: str,
+            region: Optional[str] = None, n_active: int = 0,
+            n_state1: int = 0, n_state3: int = 0,
+            txn_id: Optional[int] = None,
+            measure: Optional[float] = None,
+            threshold: Optional[float] = None,
+            detail: str = "") -> None:
+        """Record a decision from :class:`ControllerDecision`'s fields,
+        by position or by name.
 
         Lets the simulator log a decision without importing this
         module on its event path (the log is only there when telemetry
-        is on)."""
-        self.record(ControllerDecision(**fields))
+        is on), and without building the object."""
+        if self.capacity is not None and len(self._rows) >= self.capacity:
+            self.dropped += 1
+        self._rows.append((time, controller, action, region, n_active,
+                           n_state1, n_state3, txn_id, measure,
+                           threshold, detail))
 
     # ------------------------------------------------------------------
     # Queries
@@ -158,25 +188,26 @@ class DecisionLog:
                   ) -> List[ControllerDecision]:
         """Decisions, optionally restricted to one action kind."""
         if action is None:
-            return list(self._decisions)
-        return [d for d in self._decisions if d.action == action]
+            return list(self)
+        return [ControllerDecision(*row) for row in self._rows
+                if row[2] == action]
 
     def counts(self) -> Dict[str, int]:
         """Decision counts by action kind."""
         out: Dict[str, int] = {}
-        for d in self._decisions:
-            out[d.action] = out.get(d.action, 0) + 1
+        for row in self._rows:
+            out[row[2]] = out.get(row[2], 0) + 1
         return out
 
     def victims(self) -> List[int]:
         """Transaction ids of load-control abort victims, in order."""
-        return [d.txn_id for d in self._decisions
-                if d.action == DecisionAction.ABORT_VICTIM
-                and d.txn_id is not None]
+        return [row[7] for row in self._rows
+                if row[2] == DecisionAction.ABORT_VICTIM
+                and row[7] is not None]
 
     def format(self, limit: Optional[int] = None) -> str:
         """Render the (tail of the) log as text."""
-        decisions = list(self._decisions)
+        rows = list(self._rows)
         if limit is not None:
-            decisions = decisions[-limit:]
-        return "\n".join(str(d) for d in decisions)
+            rows = rows[-limit:]
+        return "\n".join(str(ControllerDecision(*row)) for row in rows)

@@ -209,6 +209,53 @@ def test_mass_cancellation_compacts_the_calendar():
     assert kept == list(range(0, 1000, 100))
 
 
+def test_compaction_inside_a_callback_keeps_the_loop_on_the_calendar():
+    # Regression: compaction replaced the heap list while run() kept
+    # looping over its local reference to the old one.  The loop then
+    # popped the cancelled slots a second time (``_dead`` went to -20),
+    # missed events scheduled after the compaction, and the next run()
+    # fired the surviving events again.
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(2.0, fired.append, "cancelled")
+               for _ in range(20)]
+
+    def first():
+        fired.append("first")
+        for handle in handles:
+            handle.cancel()             # compacts the calendar mid-run
+
+    def kept():
+        fired.append("kept")
+        sim.schedule(0.5, fired.append, "late")
+
+    sim.schedule(0.5, first)
+    sim.schedule(1.0, kept)
+    assert sim.run(until=100.0) == 3
+    assert fired == ["first", "kept", "late"]
+    assert sim._dead == 0
+    assert sim.pending() == 0
+    assert sim.run() == 0
+    assert fired == ["first", "kept", "late"]
+
+
+def test_clear_inside_a_callback_stops_the_dropped_events():
+    sim = Simulator()
+    fired = []
+
+    def wipe():
+        fired.append("wipe")
+        sim.clear()
+        sim.schedule(1.0, fired.append, "after clear")
+
+    sim.schedule(1.0, wipe)
+    sim.schedule(2.0, fired.append, "dropped")
+    assert sim.run() == 2
+    assert fired == ["wipe", "after clear"]
+    assert sim._dead == 0
+    assert sim.pending() == 0
+
+
 def test_cancel_heavy_workload_keeps_heap_bounded():
     sim = Simulator()
     for _ in range(10_000):
@@ -432,8 +479,8 @@ def test_resource_completions_share_sequence_numbers_with_post(kind):
 
 @pytest.mark.parametrize("kind", ["cpu", "disk"])
 def test_resource_completions_land_on_a_replaced_heap(kind):
-    """Compaction and ``clear()`` replace the heap list; a completion
-    issued afterwards is pushed onto the new one."""
+    """Compaction and ``clear()`` rebuild the heap list in place; a
+    completion issued afterwards is pushed onto it and fires."""
     sim = Simulator()
     serve = _resources(sim)[kind]
     handles = [sim.schedule(5.0, print) for _ in range(20)]
