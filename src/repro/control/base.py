@@ -14,19 +14,24 @@ Controllers interact with the system through a narrow surface:
 * ``system.abort_transaction(txn, reason)`` — abort an active
   transaction (it is re-queued at the back of the ready queue);
 * ``system.lock_table`` — for victim eligibility checks.
+
+:class:`SheddingController` holds the three-region feedback loop of
+Half-and-Half once; the blocked-fraction ablation and the conflict-ratio
+controller are the same loop over another measure.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.metrics.collector import AbortReason
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dbms.transaction import Transaction
     from repro.dbms.system import DBMSSystem
     from repro.telemetry.decisions import DecisionLog
 
-__all__ = ["LoadController"]
+__all__ = ["LoadController", "SheddingController"]
 
 
 class LoadController:
@@ -137,3 +142,117 @@ class LoadController:
         """``txn`` left the active set for any reason (after commit or
         abort hooks).  Controllers that maintain a fixed MPL top up the
         system here."""
+
+
+_LOAD_CONTROL = AbortReason.LOAD_CONTROL
+
+
+class SheddingController(LoadController):
+    """The three-region feedback loop of Half-and-Half (paper Section 2).
+
+    * **Arrival** — admit if a commit pre-authorised the next arrival, or
+      if the system is Underloaded; otherwise the arrival waits in the
+      ready queue.
+    * **Lock request granted** — while Underloaded, admit from the ready
+      queue until the region is left or the queue empties.
+    * **Lock request blocked** — while Overloaded, abort victims chosen
+      by :meth:`_choose_victim` until the region is left or none remains.
+    * **Commit** — admit a replacement if one is waiting; otherwise
+      pre-authorise the next arrival.
+
+    Subclasses supply the measure: :meth:`_underloaded`,
+    :meth:`_overloaded`, and :meth:`_evidence` for the decision rows.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._admit_next_arrival = False
+        # Statistics.
+        self.load_control_aborts = 0
+        self.admissions_on_grant = 0
+
+    def _underloaded(self) -> bool:
+        raise NotImplementedError
+
+    def _overloaded(self) -> bool:
+        raise NotImplementedError
+
+    def _evidence(self, action: str) -> Tuple[object, Optional[float],
+                                              Optional[float], str]:
+        """``(region, measure, threshold, detail)`` of a decision row,
+        read when the row is written: after an admission, before an
+        abort."""
+        raise NotImplementedError
+
+    def _log(self, action: str,
+             txn: Optional["Transaction"] = None) -> None:
+        self.log_decision(action, txn, *self._evidence(action))
+
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+
+    def want_admit(self, txn: "Transaction") -> bool:
+        if self._admit_next_arrival:
+            self._admit_next_arrival = False
+            if self.decision_log is not None:
+                self._log("admit_carryover", txn)
+            return True
+        admit = self._underloaded()
+        if self.decision_log is not None:
+            self._log("admit" if admit else "defer", txn)
+        return admit
+
+    def on_lock_granted(self, txn: "Transaction") -> None:
+        # "New transactions will be admitted from the external ready
+        # queue until either the system leaves the Underloaded region or
+        # the ready queue is exhausted."
+        while self._underloaded() and self.system.try_admit_one():
+            self.admissions_on_grant += 1
+            if self.decision_log is not None:
+                self._log("admit_queued")
+
+    def on_block(self, txn: "Transaction") -> None:
+        # "Blocked transactions will be aborted until the system leaves
+        # this region of operation."
+        while self._overloaded():
+            victim = self._choose_victim()
+            if victim is None:
+                break
+            self.load_control_aborts += 1
+            if self.decision_log is not None:
+                self._log("abort_victim", victim)
+            self.system.abort_transaction(victim, _LOAD_CONTROL)
+
+    def on_commit(self, txn: "Transaction") -> None:
+        # "When a transaction commits, a new transaction is
+        # (unconditionally) admitted to replace it if one is available.
+        # Otherwise the algorithm decides to admit the next transaction
+        # that arrives and records this decision."
+        if self.system.try_admit_one():
+            if self.decision_log is not None:
+                self._log("admit_on_commit")
+        else:
+            self._admit_next_arrival = True
+            if self.decision_log is not None:
+                self._log("carry_admit")
+
+    def _choose_victim(self) -> Optional["Transaction"]:
+        """Youngest blocked transaction that is in turn blocking others.
+
+        "Victims are chosen in increasing order of age, so the youngest
+        blocked transaction will be the first victim selected; also,
+        only blocked transactions that are in turn blocking other
+        transactions are considered as potential victims (since
+        aborting these transactions will enable others to run)."
+        Youngest is the largest ``(timestamp, txn_id)``; the keys are
+        unique, so the scan order of the active set does not matter.
+        """
+        is_blocking_others = self.system.lock_table.is_blocking_others
+        best = best_key = None
+        for txn in self.system.tracker.active_transactions():
+            if txn.is_blocked and is_blocking_others(txn):
+                key = (txn.timestamp, txn.txn_id)
+                if best is None or key > best_key:
+                    best, best_key = txn, key
+        return best

@@ -16,110 +16,38 @@ it.  The ``benchmarks/test_abl_maturity.py`` ablation quantifies this.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.dbms.transaction import Transaction
-
-from repro.control.base import LoadController
+from repro.core.half_and_half import HalfAndHalfController
 from repro.core.regions import DEFAULT_DELTA, Region
-from repro.errors import ConfigurationError
-from repro.metrics.collector import AbortReason
 
 __all__ = ["BlockedFractionController"]
 
 
-class BlockedFractionController(LoadController):
+class BlockedFractionController(HalfAndHalfController):
     """The 50% rule applied to raw running/blocked counts."""
 
     def __init__(self, delta: float = DEFAULT_DELTA):
-        super().__init__()
-        if delta < 0.0 or delta >= 0.5:
-            raise ConfigurationError(
-                f"delta must be in [0, 0.5), got {delta}")
-        self.delta = delta
-        self._admit_next_arrival = False
-        self.load_control_aborts = 0
+        super().__init__(delta)
 
     @property
     def base_name(self) -> str:
         return f"BlockedFraction(δ={self.delta})"
 
-    def region(self) -> Region:
+    def _populations(self) -> Tuple[int, int, int]:
         tracker = self.system.tracker
-        n_active = tracker.n_active
-        if n_active <= 0:
-            return Region.UNDERLOADED
-        threshold = 0.5 + self.delta
-        if tracker.n_running / n_active > threshold:
-            return Region.UNDERLOADED
-        if tracker.n_blocked / n_active > threshold:
-            return Region.OVERLOADED
-        return Region.COMFORTABLE
+        return tracker.n_active, tracker.n_running, tracker.n_blocked
 
-    # ------------------------------------------------------------------
-    # Hooks (deliberately identical in structure to Half-and-Half)
-    # ------------------------------------------------------------------
+    def _underloaded(self) -> bool:
+        return self.region() is Region.UNDERLOADED
 
-    def _blocked_frac(self) -> float:
-        tracker = self.system.tracker
-        return (tracker.n_blocked / tracker.n_active
-                if tracker.n_active else 0.0)
+    def _overloaded(self) -> bool:
+        return self.region() is Region.OVERLOADED
 
-    def want_admit(self, txn: "Transaction") -> bool:
-        if self._admit_next_arrival:
-            self._admit_next_arrival = False
-            if self.decision_log is not None:
-                self.log_decision("admit_carryover", txn=txn,
-                                  region=self.region())
-            return True
-        region = self.region()
-        admit = region is Region.UNDERLOADED
-        if self.decision_log is not None:
-            self.log_decision("admit" if admit else "defer", txn=txn,
-                              region=region,
-                              measure=self._blocked_frac(),
-                              threshold=0.5 + self.delta)
-        return admit
-
-    def on_lock_granted(self, txn: "Transaction") -> None:
-        while self.region() is Region.UNDERLOADED:
-            if not self.system.try_admit_one():
-                break
-            if self.decision_log is not None:
-                self.log_decision("admit_queued",
-                                  region=Region.UNDERLOADED,
-                                  measure=self._blocked_frac(),
-                                  threshold=0.5 + self.delta)
-
-    def on_block(self, txn: "Transaction") -> None:
-        while self.region() is Region.OVERLOADED:
-            victim = self._choose_victim()
-            if victim is None:
-                break
-            self.load_control_aborts += 1
-            if self.decision_log is not None:
-                self.log_decision("abort_victim", txn=victim,
-                                  region=Region.OVERLOADED,
-                                  measure=self._blocked_frac(),
-                                  threshold=0.5 + self.delta)
-            self.system.abort_transaction(victim, AbortReason.LOAD_CONTROL)
-
-    def on_commit(self, txn: "Transaction") -> None:
-        if self.system.try_admit_one():
-            if self.decision_log is not None:
-                self.log_decision("admit_on_commit", region=self.region())
-        else:
-            self._admit_next_arrival = True
-            if self.decision_log is not None:
-                self.log_decision("carry_admit", region=self.region())
-
-    def _choose_victim(self) -> Optional["Transaction"]:
-        lock_table = self.system.lock_table
-        candidates: List["Transaction"] = [
-            t for t in self.system.tracker.blocked_transactions()
-            if lock_table.is_blocking_others(t)
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda t: (t.timestamp, t.txn_id))
+    def _evidence(self, action: str) -> Tuple[Region, Optional[float],
+                                              Optional[float], str]:
+        region, measure, threshold, _detail = super()._evidence(action)
+        if measure is not None:
+            n_active, _running, n_blocked = self._populations()
+            measure = n_blocked / n_active if n_active else 0.0
+        return region, measure, threshold, ""

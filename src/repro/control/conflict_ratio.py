@@ -7,12 +7,14 @@ ratio of 1 means nobody is blocked; Moenkeberg & Weikum's measurements
 placed the onset of thrashing near a critical ratio of ≈ 1.3,
 independent of the workload.
 
-This implementation follows the same three-way feedback structure as
-Half-and-Half so the two are directly comparable:
+This implementation runs Half-and-Half's three-region feedback loop
+(:class:`repro.control.base.SheddingController`) over the conflict
+ratio, so the two are directly comparable:
 
 * admit (on arrival / lock grant / commit) while the conflict ratio is
   below the critical value;
-* cancel admissions above it;
+* cancel admissions above it, where a commit neither replaces nor
+  pre-authorises;
 * abort blocked, blocking, youngest-first victims while the ratio
   exceeds the critical value by the hysteresis margin.
 
@@ -25,14 +27,13 @@ concerns of the paper's Section 4.6.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dbms.transaction import Transaction
 
-from repro.control.base import LoadController
+from repro.control.base import SheddingController
 from repro.errors import ConfigurationError
-from repro.metrics.collector import AbortReason
 
 __all__ = ["ConflictRatioController"]
 
@@ -40,7 +41,7 @@ __all__ = ["ConflictRatioController"]
 DEFAULT_CRITICAL_RATIO = 1.3
 
 
-class ConflictRatioController(LoadController):
+class ConflictRatioController(SheddingController):
     """Admission control driven by the lock conflict ratio."""
 
     def __init__(self, critical_ratio: float = DEFAULT_CRITICAL_RATIO,
@@ -54,8 +55,6 @@ class ConflictRatioController(LoadController):
                 f"abort_margin must be non-negative, got {abort_margin}")
         self.critical_ratio = critical_ratio
         self.abort_margin = abort_margin
-        self._admit_next_arrival = False
-        self.load_control_aborts = 0
 
     @property
     def base_name(self) -> str:
@@ -83,81 +82,30 @@ class ConflictRatioController(LoadController):
             return math.inf
         return total / running
 
-    def _below_critical(self) -> bool:
+    def _underloaded(self) -> bool:
         return self.conflict_ratio() < self.critical_ratio
 
-    def _above_abort_level(self) -> bool:
+    def _overloaded(self) -> bool:
         return self.conflict_ratio() > (self.critical_ratio
                                         + self.abort_margin)
 
-    # ------------------------------------------------------------------
-    # Hooks (mirrors the Half-and-Half structure)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _finite(ratio: float) -> "float | None":
+    def _evidence(self, action: str) -> Tuple[None, Optional[float],
+                                              Optional[float], str]:
+        if action == "admit_carryover":
+            return None, None, None, ""
+        if action == "carry_admit":
+            return None, None, self.critical_ratio, ""
+        if action == "abort_victim":
+            threshold = self.critical_ratio + self.abort_margin
+        else:
+            threshold = self.critical_ratio
         # The decision log serializes to JSON; an all-blocked system's
         # infinite ratio travels as null.
-        return None if math.isinf(ratio) else ratio
-
-    def want_admit(self, txn: "Transaction") -> bool:
-        if self._admit_next_arrival:
-            self._admit_next_arrival = False
-            if self.decision_log is not None:
-                self.log_decision("admit_carryover", txn=txn)
-            return True
         ratio = self.conflict_ratio()
-        admit = ratio < self.critical_ratio
-        if self.decision_log is not None:
-            self.log_decision("admit" if admit else "defer", txn=txn,
-                              measure=self._finite(ratio),
-                              threshold=self.critical_ratio)
-        return admit
-
-    def on_lock_granted(self, txn: "Transaction") -> None:
-        while self._below_critical():
-            if not self.system.try_admit_one():
-                break
-            if self.decision_log is not None:
-                self.log_decision("admit_queued",
-                                  measure=self._finite(
-                                      self.conflict_ratio()),
-                                  threshold=self.critical_ratio)
-
-    def on_block(self, txn: "Transaction") -> None:
-        while self._above_abort_level():
-            victim = self._choose_victim()
-            if victim is None:
-                break
-            self.load_control_aborts += 1
-            if self.decision_log is not None:
-                self.log_decision("abort_victim", txn=victim,
-                                  measure=self._finite(
-                                      self.conflict_ratio()),
-                                  threshold=(self.critical_ratio
-                                             + self.abort_margin))
-            self.system.abort_transaction(victim, AbortReason.LOAD_CONTROL)
+        return None, None if math.isinf(ratio) else ratio, threshold, ""
 
     def on_commit(self, txn: "Transaction") -> None:
-        if self._below_critical():
-            if self.system.try_admit_one():
-                if self.decision_log is not None:
-                    self.log_decision("admit_on_commit",
-                                      measure=self._finite(
-                                          self.conflict_ratio()),
-                                      threshold=self.critical_ratio)
-            else:
-                self._admit_next_arrival = True
-                if self.decision_log is not None:
-                    self.log_decision("carry_admit",
-                                      threshold=self.critical_ratio)
-
-    def _choose_victim(self) -> Optional["Transaction"]:
-        lock_table = self.system.lock_table
-        candidates: List["Transaction"] = [
-            t for t in self.system.tracker.blocked_transactions()
-            if lock_table.is_blocking_others(t)
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda t: (t.timestamp, t.txn_id))
+        # Above the critical ratio a commit neither replaces the
+        # committed transaction nor pre-authorises the next arrival.
+        if self._underloaded():
+            super().on_commit(txn)

@@ -71,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dbms.transaction import Transaction
 
 from repro.control.base import LoadController
-from repro.core.regions import DEFAULT_DELTA, Region
+from repro.core.regions import DEFAULT_DELTA, Region, classify_region
 from repro.errors import ConfigurationError
 
 __all__ = ["MalthusianController"]
@@ -163,17 +163,11 @@ class MalthusianController(LoadController):
     # ------------------------------------------------------------------
 
     def region(self) -> Region:
-        """The current operating region (Half-and-Half's 50% rule)."""
+        """The current operating region (Half-and-Half's 50% rule), read
+        for decision rows."""
         tracker = self.system.tracker
-        n_active = tracker.n_active
-        if n_active <= 0:
-            return Region.UNDERLOADED
-        boundary = 0.5 + self.delta
-        if tracker.n_state1 / n_active > boundary:
-            return Region.UNDERLOADED
-        if tracker.n_state3 / n_active > boundary:
-            return Region.OVERLOADED
-        return Region.COMFORTABLE
+        return classify_region(tracker.n_active, tracker.n_state1,
+                               tracker.n_state3, self.delta)
 
     def _frac_blocked(self) -> float:
         """States 3 + 4 over the active population (the cull measure)."""

@@ -1,18 +1,11 @@
 """The Half-and-Half load-control algorithm (paper Section 2).
 
-The controller is invoked whenever a transaction arrives, makes a lock
-request, or commits, and responds to the region classification of
-:func:`repro.core.regions.classify_region`:
-
-* **Arrival** — admit if the system is Underloaded or a previous commit
-  pre-authorised the next arrival; otherwise park in the ready queue.
-* **Lock request granted** — while Underloaded, admit transactions from
-  the external ready queue until the region is left or the queue empties.
-* **Lock request blocked** — while Overloaded, abort blocked transactions
-  (youngest first, and only those that are in turn blocking others) until
-  the region is left.
-* **Commit** — unconditionally admit a replacement if one is waiting;
-  otherwise record a decision to admit the next arrival.
+The controller runs the three-region feedback loop of
+:class:`repro.control.base.SheddingController` (admit while
+Underloaded, abort blocked transactions that block others, youngest
+first, while Overloaded, replace or pre-authorise on commit) over the
+50% rule of :func:`repro.core.regions.classify_region`: mature running
+and mature blocked transactions over the active population.
 
 The algorithm assumes no knowledge of the system or workload beyond each
 transaction's (rough) estimate of its number of lock requests, used only
@@ -21,25 +14,27 @@ for the maturity classification.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dbms.transaction import Transaction
 
-from typing import List, Optional
-
-from repro.control.base import LoadController
-from repro.core.regions import DEFAULT_DELTA, Region
+from repro.control.base import SheddingController
+from repro.core.regions import DEFAULT_DELTA, Region, classify_region
 from repro.errors import ConfigurationError
-from repro.metrics.collector import AbortReason
 
 __all__ = ["HalfAndHalfController"]
 
 
 _VICTIM_POLICIES = ("youngest", "oldest", "random")
 
+# Detail strings of the rows that carry no measure.
+_DETAILS = {"admit_carryover": "pre-authorised at commit",
+            "admit_on_commit": "replacement for committed txn",
+            "carry_admit": "ready queue empty at commit"}
 
-class HalfAndHalfController(LoadController):
+
+class HalfAndHalfController(SheddingController):
     """Adaptive MPL control via the 50% rule with hysteresis δ.
 
     The paper's algorithm corresponds to the defaults.  The extra knobs
@@ -67,10 +62,6 @@ class HalfAndHalfController(LoadController):
         self.delta = delta
         self.victim_policy = victim_policy
         self.require_blocking_victims = require_blocking_victims
-        self._admit_next_arrival = False
-        # Statistics.
-        self.load_control_aborts = 0
-        self.admissions_on_grant = 0
 
     @property
     def base_name(self) -> str:
@@ -82,135 +73,61 @@ class HalfAndHalfController(LoadController):
         return f"Half-and-Half(δ={self.delta}{suffix})"
 
     # ------------------------------------------------------------------
+    # The measure
+    # ------------------------------------------------------------------
+
+    def _populations(self) -> Tuple[int, int, int]:
+        """``(active, mature running, mature blocked)``: the counts the
+        50% rule compares."""
+        tracker = self.system.tracker
+        return tracker.n_active, tracker.n_state1, tracker.n_state3
 
     def region(self) -> Region:
-        """The current operating region of the system.
+        """The current operating region (read for decision rows)."""
+        return classify_region(*self._populations(), self.delta)
 
-        This is :func:`~repro.core.regions.classify_region` unrolled
-        inline (same comparisons, same division form — the float
-        arithmetic must stay bit-identical to the reference): the
-        controller consults the region on every grant, block, and
-        arrival, and the extra call is measurable at bench scale.
-        """
+    # The loop's two region tests are the 50% rule inlined (same
+    # comparisons, same division form as classify_region, so the float
+    # arithmetic stays bit-identical): they run on every arrival, grant
+    # and block, and the extra call is measurable at bench scale.
+
+    def _underloaded(self) -> bool:
         tracker = self.system.tracker
         n_active = tracker.n_active
-        if n_active <= 0:
-            return Region.UNDERLOADED
-        threshold = 0.5 + self.delta
-        if tracker.n_state1 / n_active > threshold:
-            return Region.UNDERLOADED
-        if tracker.n_state3 / n_active > threshold:
-            return Region.OVERLOADED
-        return Region.COMFORTABLE
+        return (n_active <= 0
+                or tracker.n_state1 / n_active > 0.5 + self.delta)
 
-    # ------------------------------------------------------------------
-    # Hooks
-    # ------------------------------------------------------------------
-
-    def _frac_state1(self) -> float:
-        tracker = self.system.tracker
-        return (tracker.n_state1 / tracker.n_active
-                if tracker.n_active else 0.0)
-
-    def _frac_state3(self) -> float:
-        tracker = self.system.tracker
-        return (tracker.n_state3 / tracker.n_active
-                if tracker.n_active else 0.0)
-
-    def want_admit(self, txn: "Transaction") -> bool:
-        if self._admit_next_arrival:
-            self._admit_next_arrival = False
-            if self.decision_log is not None:
-                self.log_decision("admit_carryover", txn=txn,
-                                  region=self.region(),
-                                  detail="pre-authorised at commit")
-            return True
-        # region() is Region.UNDERLOADED, inlined (same comparisons,
-        # same division form): this hook runs on every arrival.
+    def _overloaded(self) -> bool:
+        # The Underloaded test cannot hold as well: n_state1 + n_state3
+        # <= n_active and the threshold is at least 0.5.
         tracker = self.system.tracker
         n_active = tracker.n_active
-        admit = (n_active <= 0
-                 or tracker.n_state1 / n_active > 0.5 + self.delta)
-        if self.decision_log is not None:
-            self.log_decision("admit" if admit else "defer", txn=txn,
-                              region=self.region(),
-                              measure=self._frac_state1(),
-                              threshold=0.5 + self.delta)
-        return admit
+        return (n_active > 0
+                and tracker.n_state3 / n_active > 0.5 + self.delta)
 
-    def on_lock_granted(self, txn: "Transaction") -> None:
-        # "New transactions will be admitted from the external ready queue
-        # until either the system leaves the Underloaded region or the
-        # ready queue is exhausted."  The loop condition is region() is
-        # Region.UNDERLOADED, inlined: this hook runs on every grant.
-        tracker = self.system.tracker
+    def _evidence(self, action: str) -> Tuple[Region, Optional[float],
+                                              Optional[float], str]:
+        n_active, n_admit, n_shed = self._populations()
         threshold = 0.5 + self.delta
-        while True:
-            n_active = tracker.n_active
-            if (n_active > 0
-                    and not tracker.n_state1 / n_active > threshold):
-                break
-            if not self.system.try_admit_one():
-                break
-            self.admissions_on_grant += 1
-            if self.decision_log is not None:
-                self.log_decision("admit_queued",
-                                  region=Region.UNDERLOADED,
-                                  measure=self._frac_state1(),
-                                  threshold=0.5 + self.delta,
-                                  detail="admitted on lock grant")
-
-    def on_block(self, txn: "Transaction") -> None:
-        # "Blocked transactions will be aborted until the system leaves
-        # this region of operation."  The loop condition is region() is
-        # Region.OVERLOADED, inlined: this hook runs on every block.
-        tracker = self.system.tracker
-        threshold = 0.5 + self.delta
-        while True:
-            n_active = tracker.n_active
-            if (n_active <= 0
-                    or tracker.n_state1 / n_active > threshold
-                    or not tracker.n_state3 / n_active > threshold):
-                break
-            victim = self._choose_victim()
-            if victim is None:
-                break
-            self.load_control_aborts += 1
-            if self.decision_log is not None:
-                self.log_decision("abort_victim", txn=victim,
-                                  region=Region.OVERLOADED,
-                                  measure=self._frac_state3(),
-                                  threshold=0.5 + self.delta,
-                                  detail=f"policy={self.victim_policy}")
-            self.system.abort_transaction(victim, AbortReason.LOAD_CONTROL)
-
-    def on_commit(self, txn: "Transaction") -> None:
-        # "When a transaction commits, a new transaction is
-        # (unconditionally) admitted to replace it if one is available.
-        # Otherwise the algorithm decides to admit the next transaction
-        # that arrives and records this decision."
-        if self.system.try_admit_one():
-            if self.decision_log is not None:
-                self.log_decision("admit_on_commit",
-                                  region=self.region(),
-                                  detail="replacement for committed txn")
-        else:
-            self._admit_next_arrival = True
-            if self.decision_log is not None:
-                self.log_decision("carry_admit", region=self.region(),
-                                  detail="ready queue empty at commit")
+        if action == "abort_victim":
+            return (Region.OVERLOADED, n_shed / n_active, threshold,
+                    f"policy={self.victim_policy}")
+        measure = n_admit / n_active if n_active else 0.0
+        if action == "admit_queued":
+            return (Region.UNDERLOADED, measure, threshold,
+                    "admitted on lock grant")
+        region = classify_region(n_active, n_admit, n_shed, self.delta)
+        if action in ("admit", "defer"):
+            return region, measure, threshold, ""
+        return region, None, None, _DETAILS[action]
 
     # ------------------------------------------------------------------
 
     def _choose_victim(self) -> Optional["Transaction"]:
-        """Youngest blocked transaction that is in turn blocking others.
-
-        "Victims are chosen in increasing order of age, so the youngest
-        blocked transaction will be the first victim selected; also, only
-        blocked transactions that are in turn blocking other transactions
-        are considered as potential victims (since aborting these
-        transactions will enable others to run)."
-        """
+        """The paper's victim (the loop's youngest blocked-and-blocking
+        transaction), or the order of the victim-policy ablation."""
+        if self.victim_policy == "youngest" and self.require_blocking_victims:
+            return super()._choose_victim()
         lock_table = self.system.lock_table
         candidates: List["Transaction"] = [
             txn for txn in self.system.tracker.blocked_transactions()
