@@ -46,8 +46,7 @@ class BlockedFractionController(HalfAndHalfController):
 
     def _evidence(self, action: str) -> Tuple[Region, Optional[float],
                                               Optional[float], str]:
+        # Half-and-Half's rows over running and blocked counts: the
+        # running fraction on admissions, the blocked one on aborts.
         region, measure, threshold, _detail = super()._evidence(action)
-        if measure is not None:
-            n_active, _running, n_blocked = self._populations()
-            measure = n_blocked / n_active if n_active else 0.0
         return region, measure, threshold, ""

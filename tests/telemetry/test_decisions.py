@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.control.blocked_fraction import BlockedFractionController
 from repro.control.conflict_ratio import ConflictRatioController
 from repro.control.fixed_mpl import FixedMPLController
 from repro.control.tay import TayRuleController
 from repro.core.half_and_half import HalfAndHalfController
+from repro.dbms.config import SimulationParameters
 from repro.experiments.runner import run_simulation
 from repro.telemetry.decisions import (ControllerDecision, DecisionAction,
                                        DecisionLog)
@@ -83,11 +86,32 @@ def test_fixed_mpl_logs_defers_under_saturation(fast_params):
         assert d.measure >= d.threshold == 2.0
 
 
-def test_blocked_fraction_logs_with_blocked_measure(fast_params):
+def test_blocked_fraction_logs_fractions_in_range(fast_params):
     log = _run_with_log(fast_params, BlockedFractionController())
     admits = log.decisions(DecisionAction.ADMIT)
     assert admits
     assert all(0.0 <= d.measure <= 1.0 for d in admits)
+
+
+@pytest.mark.parametrize("controller", [HalfAndHalfController,
+                                        BlockedFractionController])
+def test_admission_rows_carry_the_compared_value(controller):
+    """An arrival is admitted exactly when its measure exceeds the
+    threshold (an empty system admits whatever it measures).
+
+    ``admit_queued`` is left out: its measure is read after the
+    admission it records.
+    """
+    params = SimulationParameters(num_terms=100, db_size=1000, seed=1,
+                                  warmup_time=5.0, num_batches=3,
+                                  batch_time=10.0)
+    log = _run_with_log(params, controller())
+    admits = [d for d in log.decisions(DecisionAction.ADMIT)
+              if d.n_active > 0]
+    defers = log.decisions(DecisionAction.DEFER)
+    assert defers
+    assert all(d.measure > d.threshold for d in admits)
+    assert all(d.measure <= d.threshold for d in defers)
 
 
 def test_conflict_ratio_serializes_measure_as_finite_or_none(fast_params):
