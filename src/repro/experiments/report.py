@@ -71,8 +71,8 @@ Livny, *Load Control for Locking: The 'Half-and-Half' Approach* (1990).
   to scrub individual transactions against the State 1–4 counter
   tracks.  The profiled loop pays the hook cost, so compare profiled
   rates only with profiled rates — the hook-free numbers come from
-  ``python -m repro.bench run``, whose trajectory over time is kept by
-  ``bench run --history`` / ``bench history``.
+  ``python3 perfbench/run.py --trace 0``, which repeats each workload
+  and reports the median and spread of every metric.
 * Reading ``ext_controller_bakeoff``: the four series differ in their
   *shedding currency*, not just throughput.  Half-and-Half pays in
   discarded work (its abort column grows fast past the knee);

@@ -1,7 +1,7 @@
 """Verification subsystem: invariant oracles, differential references,
 and golden-run regression pinning.
 
-Three layers, all optional and zero-cost when off:
+Four layers, all optional and zero-cost when off:
 
 1. **Runtime invariant oracles** — :class:`InvariantChecker` attaches to
    a live run and asserts the cross-subsystem invariant catalog at a
@@ -13,8 +13,10 @@ Three layers, all optional and zero-cost when off:
    table and the reference side by side and raises
    :class:`~repro.errors.ShadowDivergence` when they disagree.
 3. **Golden-run manifests** — :mod:`repro.verify.golden` pins sha256
-   hashes of the bench suite's results and traces, turning "the
-   simulated trajectory changed" into a test failure.
+   hashes of the results and traces of the pinned suite
+   (:mod:`repro.verify.suite`) plus two golden-only controller
+   configurations, turning "the simulated trajectory changed" into a
+   test failure.
 4. **Analytic envelope** — :func:`check_envelope` bounds simulated
    throughput with the mean-value model of
    :mod:`repro.control.analytic`: goldens pin *change*, the envelope

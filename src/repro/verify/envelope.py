@@ -17,7 +17,7 @@ lock manager that silently stopped blocking anyone, service times
 applied in the wrong unit — shifts goldens and envelope together, but
 only the envelope knows the new number is physically absurd.
 
-:func:`check_envelope` runs the pinned bench suite at smoke scale and
+:func:`check_envelope` runs the pinned suite at smoke scale and
 compares each entry's simulated page throughput against
 :func:`~repro.control.analytic.predict_throughput` evaluated at that
 run's *observed* average MPL (so the check is about the model's
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.bench.suite import BenchEntry, suite_for
+from repro.verify.suite import BenchEntry, suite_for
 from repro.control.analytic import predict_throughput
 from repro.errors import VerificationError
 

@@ -1,7 +1,7 @@
 """Golden-run manifests: end-to-end regression pinning for the simulator.
 
-A golden manifest records, for every pinned benchmark configuration
-(:mod:`repro.bench.suite`, smoke scale), a sha256 over the canonical
+A golden manifest records, for every pinned configuration
+(:mod:`repro.verify.suite`, smoke scale), a sha256 over the canonical
 JSON of the run's results and a second sha256 over the full lifecycle
 trace, plus the raw commit/abort counts for human-readable diffs.  The
 simulator is deterministic for a given seed, so these hashes are stable
@@ -20,7 +20,6 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.bench.suite import BenchEntry, suite_for
 from repro.control.analytic import AnalyticMPCController
 from repro.control.malthusian import MalthusianController
 from repro.dbms.config import SimulationParameters
@@ -29,6 +28,7 @@ from repro.experiments.runner import run_simulation
 from repro.fingerprint import sha256
 from repro.metrics.trace import Tracer
 from repro.telemetry.export import trace_event_to_dict
+from repro.verify.suite import SCALES, BenchEntry, suite_for
 
 __all__ = ["GOLDEN_SCALE", "MANIFEST_FORMAT", "default_golden_path",
            "compute_golden_manifest", "load_golden_manifest",
@@ -58,15 +58,14 @@ def _canonical_sha256(payload) -> str:
 
 
 def extra_golden_entries(scale: str = GOLDEN_SCALE) -> List[BenchEntry]:
-    """Golden-only pinned configurations, beyond the bench suite.
+    """Golden-only pinned configurations, beyond the pinned suite.
 
-    The bench suite is a schema (BENCH_*.json comparisons key on its
-    entries), so configurations that exist to pin *trajectories* rather
-    than wall clock live here: one Malthusian run hot enough to drive
+    ``verify envelope`` runs exactly the five suite entries, so the
+    configurations that exist only to pin controller *trajectories*
+    live here rather than in the suite: one Malthusian run hot enough to drive
     passivation/readmission churn, and one analytic-MPC run with
     several refit epochs.
     """
-    from repro.bench.suite import SCALES
     overrides = SCALES[scale]
     contended = SimulationParameters(num_terms=100, db_size=300,
                                      write_prob=0.5, **overrides)
@@ -77,7 +76,7 @@ def extra_golden_entries(scale: str = GOLDEN_SCALE) -> List[BenchEntry]:
 
 
 def compute_golden_manifest(scale: str = GOLDEN_SCALE) -> Dict:
-    """Run every pinned bench entry and hash its results and trace."""
+    """Run every pinned entry and hash its results and trace."""
     entries = {}
     for entry in (*suite_for(scale), *extra_golden_entries(scale)):
         tracer = Tracer(capacity=None)
@@ -126,7 +125,7 @@ def compare_manifests(expected: Dict, actual: Dict) -> List[str]:
             continue
         if act is None:
             problems.append(f"{name}: pinned in the manifest but the "
-                            f"bench suite no longer defines it")
+                            f"pinned suite no longer defines it")
             continue
         for key in ("results_sha256", "trace_sha256"):
             if exp.get(key) != act.get(key):

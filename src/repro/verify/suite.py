@@ -1,7 +1,8 @@
-"""The pinned benchmark suite.
+"""The pinned suite: five configurations shared by ``verify golden``
+and ``verify envelope``.
 
-Five configurations exercise the simulator's distinct hot paths, so a
-wall-clock regression anywhere in the engine, the lock manager, or a
+Each configuration exercises a distinct hot path of the simulator, so
+a trajectory change anywhere in the engine, the lock manager, or a
 controller shows up in at least one entry:
 
 * ``base_hh``         — the paper's base case under Half-and-Half
@@ -13,11 +14,11 @@ controller shows up in at least one entry:
 * ``high_contention`` — small database, write-heavy (abort/restart
   churn and wound-free deadlock cycles dominate).
 
-Entries are *pinned*: changing parameters here invalidates every
-existing ``BENCH_*.json`` comparison, so treat the suite like a schema.
-Two scales share the same entries — ``smoke`` (seconds, for CI) and
-``full`` (minutes, for real measurement); both are deterministic in
-their simulated trajectory, only wall clock varies.
+Entries are *pinned*: changing parameters here moves every golden
+manifest hash and every envelope ratio, so treat the suite like a
+schema.  Two scales share the same entries — ``smoke`` (seconds, what
+the goldens pin) and ``full`` (``verify envelope --scale full``); both
+are deterministic in their simulated trajectory.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.core.half_and_half import HalfAndHalfController
 from repro.dbms.config import SimulationParameters
 from repro.errors import ExperimentError
 
-__all__ = ["BenchEntry", "SCALES", "suite_for", "entry_names"]
+__all__ = ["BenchEntry", "SCALES", "suite_for"]
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,3 @@ def suite_for(scale: str) -> Tuple[BenchEntry, ...]:
             f"choose from {sorted(SCALES)}")
     return _entries(overrides)
 
-
-def entry_names() -> Tuple[str, ...]:
-    """Names of the pinned entries, in suite order."""
-    return tuple(e.name for e in _entries(SCALES["smoke"]))

@@ -23,7 +23,7 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 # Layers a plain simulation must not load.
 OPTIONAL_LAYERS = (
     "repro.telemetry", "repro.verify", "repro.distributed",
-    "repro.faultinject", "repro.bench", "repro.analysis",
+    "repro.faultinject", "repro.analysis",
     "repro.resilience", "repro.experiments.parallel",
     "repro.experiments.figures",
 )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.suite import BenchEntry
+from repro.verify.suite import BenchEntry
 from repro.control.no_control import NoControlController
 from repro.dbms.config import SimulationParameters
 from repro.errors import VerificationError

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import json
 
-from repro.bench.suite import suite_for
+from repro.verify.suite import suite_for
 from repro.verify.golden import (GOLDEN_SCALE, MANIFEST_FORMAT,
                                  check_goldens, compare_manifests,
                                  default_golden_path,
