@@ -77,14 +77,24 @@ class LoadController:
         log = self.decision_log
         if log is None:
             return
+        log.add(*self._decision_row(action, txn, region, measure,
+                                    threshold, detail))
+
+    def _decision_row(self, action: str,
+                      txn: Optional["Transaction"] = None,
+                      region=None,
+                      measure: Optional[float] = None,
+                      threshold: Optional[float] = None,
+                      detail: str = "") -> tuple:
+        """The fields of one decision row by position, in
+        ``ControllerDecision``'s order, with the populations read now."""
         # A log may be installed before attach() binds the system (e.g.
         # a controller configured by hand); counts are simply zero then.
         system = self.system
         tracker = system.tracker if system is not None else None
         if region is not None and hasattr(region, "value"):
             region = region.value
-        # The fields by position, in ControllerDecision's order.
-        log.add(system.sim.now if system is not None else 0.0,
+        return (system.sim.now if system is not None else 0.0,
                 self.name, action, region,
                 tracker.n_active if tracker is not None else 0,
                 tracker.n_state1 if tracker is not None else 0,
@@ -180,13 +190,28 @@ class SheddingController(LoadController):
     def _evidence(self, action: str) -> Tuple[object, Optional[float],
                                               Optional[float], str]:
         """``(region, measure, threshold, detail)`` of a decision row,
-        read when the row is written: after an admission, before an
-        abort."""
+        read before the admission or abort the row records."""
         raise NotImplementedError
 
     def _log(self, action: str,
              txn: Optional["Transaction"] = None) -> None:
         self.log_decision(action, txn, *self._evidence(action))
+
+    def _admit_logged(self, action: str) -> bool:
+        """``system.try_admit_one()`` with a decision log attached.
+
+        The row is read before the admission, so its measure and
+        populations are the ones the admission was decided on, and
+        written only if a transaction was admitted; an empty queue
+        reads nothing."""
+        system = self.system
+        if not system.ready_queue:
+            return False
+        row = self._decision_row(action, None, *self._evidence(action))
+        if not system.try_admit_one():
+            return False
+        self.decision_log.add(*row)
+        return True
 
     # ------------------------------------------------------------------
     # Hooks
@@ -207,10 +232,13 @@ class SheddingController(LoadController):
         # "New transactions will be admitted from the external ready
         # queue until either the system leaves the Underloaded region or
         # the ready queue is exhausted."
-        while self._underloaded() and self.system.try_admit_one():
-            self.admissions_on_grant += 1
-            if self.decision_log is not None:
-                self._log("admit_queued")
+        if self.decision_log is None:
+            while self._underloaded() and self.system.try_admit_one():
+                self.admissions_on_grant += 1
+        else:
+            while (self._underloaded()
+                   and self._admit_logged("admit_queued")):
+                self.admissions_on_grant += 1
 
     def on_block(self, txn: "Transaction") -> None:
         # "Blocked transactions will be aborted until the system leaves
@@ -229,13 +257,12 @@ class SheddingController(LoadController):
         # (unconditionally) admitted to replace it if one is available.
         # Otherwise the algorithm decides to admit the next transaction
         # that arrives and records this decision."
-        if self.system.try_admit_one():
-            if self.decision_log is not None:
-                self._log("admit_on_commit")
-        else:
+        if self.decision_log is None:
+            if not self.system.try_admit_one():
+                self._admit_next_arrival = True
+        elif not self._admit_logged("admit_on_commit"):
             self._admit_next_arrival = True
-            if self.decision_log is not None:
-                self._log("carry_admit")
+            self._log("carry_admit")
 
     def _choose_victim(self) -> Optional["Transaction"]:
         """Youngest blocked transaction that is in turn blocking others.

@@ -96,22 +96,25 @@ def test_blocked_fraction_logs_fractions_in_range(fast_params):
 @pytest.mark.parametrize("controller", [HalfAndHalfController,
                                         BlockedFractionController])
 def test_admission_rows_carry_the_compared_value(controller):
-    """An arrival is admitted exactly when its measure exceeds the
-    threshold (an empty system admits whatever it measures).
-
-    ``admit_queued`` is left out: its measure is read after the
-    admission it records.
+    """A transaction is admitted, on arrival or from the ready queue on
+    a lock grant, exactly when its measure exceeds the threshold (an
+    empty system admits whatever it measures), and the row's
+    populations are the ones that measure was taken over.
     """
     params = SimulationParameters(num_terms=100, db_size=1000, seed=1,
                                   warmup_time=5.0, num_batches=3,
                                   batch_time=10.0)
     log = _run_with_log(params, controller())
-    admits = [d for d in log.decisions(DecisionAction.ADMIT)
+    queued = log.decisions(DecisionAction.ADMIT_QUEUED)
+    admits = [d for d in (*log.decisions(DecisionAction.ADMIT), *queued)
               if d.n_active > 0]
     defers = log.decisions(DecisionAction.DEFER)
+    assert queued
     assert defers
     assert all(d.measure > d.threshold for d in admits)
     assert all(d.measure <= d.threshold for d in defers)
+    if controller is HalfAndHalfController:
+        assert all(d.measure == d.frac_state1 for d in admits)
 
 
 def test_conflict_ratio_serializes_measure_as_finite_or_none(fast_params):
