@@ -195,20 +195,21 @@ class SheddingController(LoadController):
 
     def _log(self, action: str,
              txn: Optional["Transaction"] = None) -> None:
-        self.log_decision(action, txn, *self._evidence(action))
+        # Called behind the hooks' ``decision_log is not None`` guards.
+        self.decision_log.add(
+            *self._decision_row(action, txn, *self._evidence(action)))
 
     def _admit_logged(self, action: str) -> bool:
-        """``system.try_admit_one()`` with a decision log attached.
+        """``system.try_admit_one()`` from a non-empty ready queue, with
+        a decision log attached.
 
         The row is read before the admission, so its measure and
         populations are the ones the admission was decided on, and
-        written only if a transaction was admitted; an empty queue
-        reads nothing."""
-        system = self.system
-        if not system.ready_queue:
-            return False
+        written only if a transaction was admitted.  Callers test the
+        queue first, so a grant or commit with nothing queued reads no
+        evidence."""
         row = self._decision_row(action, None, *self._evidence(action))
-        if not system.try_admit_one():
+        if not self.system.try_admit_one():
             return False
         self.decision_log.add(*row)
         return True
@@ -236,7 +237,8 @@ class SheddingController(LoadController):
             while self._underloaded() and self.system.try_admit_one():
                 self.admissions_on_grant += 1
         else:
-            while (self._underloaded()
+            queue = self.system.ready_queue
+            while (self._underloaded() and queue
                    and self._admit_logged("admit_queued")):
                 self.admissions_on_grant += 1
 
@@ -260,7 +262,8 @@ class SheddingController(LoadController):
         if self.decision_log is None:
             if not self.system.try_admit_one():
                 self._admit_next_arrival = True
-        elif not self._admit_logged("admit_on_commit"):
+        elif not (self.system.ready_queue
+                  and self._admit_logged("admit_on_commit")):
             self._admit_next_arrival = True
             self._log("carry_admit")
 
