@@ -68,9 +68,11 @@ def choose_victim(cycle: List[Txn],
                   timestamp: Callable[[Txn], float]) -> Txn:
     """Pick the youngest transaction in the cycle (largest timestamp).
 
-    Ties broken by transaction identity order for determinism.
+    Callers should pass a unique key (``DBMSSystem`` passes
+    ``(timestamp, txn_id)``); among equal keys the first in cycle order
+    wins, which is deterministic but depends on the cycle's order.
     """
-    return max(cycle, key=lambda t: (timestamp(t), id(t)))
+    return max(cycle, key=timestamp)
 
 
 def resolve_deadlocks(lock_table: LockTable, start: Txn,
