@@ -62,9 +62,9 @@ def extra_golden_entries(scale: str = GOLDEN_SCALE) -> List[BenchEntry]:
 
     ``verify envelope`` runs exactly the five suite entries, so the
     configurations that exist only to pin controller *trajectories*
-    live here rather than in the suite: one Malthusian run hot enough to drive
-    passivation/readmission churn, and one analytic-MPC run with
-    several refit epochs.
+    live here rather than in the suite: one Malthusian run hot enough
+    to drive passivation/readmission churn, and one analytic-MPC run
+    with several refit epochs.
     """
     overrides = SCALES[scale]
     contended = SimulationParameters(num_terms=100, db_size=300,

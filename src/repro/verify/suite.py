@@ -78,4 +78,3 @@ def suite_for(scale: str) -> Tuple[BenchEntry, ...]:
             f"unknown bench scale {scale!r}; "
             f"choose from {sorted(SCALES)}")
     return _entries(overrides)
-
